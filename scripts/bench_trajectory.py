@@ -4,10 +4,8 @@
 Three measurements, on the "small"-tier paper workloads:
 
 * **Engine ladder** — sequential pointer greedy vs single-process
-  ``rootset-vec`` (cold and warm caches) vs ``parallel-vec`` at 1/2/4/8
-  shard workers, with bit-exactness asserted against the sequential
-  reference on every configuration and per-worker split / barrier-wait
-  numbers pulled from ``stats.aux["parallel"]``.
+  ``rootset-vec`` (cold and warm caches), with bit-exactness asserted
+  against the sequential reference.
 * **Cold vs warm** — the memoized partition/incidence caches cleared per
   run vs reused, quantifying the gap that
   :meth:`SolverService.register_graph`'s precompute-at-registration
@@ -26,11 +24,11 @@ Determinism makes all three responses byte-identical — the record
 quantifies what that equivalence buys (warm hits are required to be
 ≥ 5× faster than uncached solves).
 
-Speedup numbers are *honest wall clock on this machine*: ``meta.cpu_count``
-records the core budget, and on a single-core container the parallel
-tier cannot beat the single-process engine — the point of the record is
-the split/barrier accounting and the payload-path latencies, which are
-meaningful at any core count (see ``meta.caveat``).
+Wall-clock numbers are honest wall clock on the recording machine;
+``meta.cpu_count`` records its core budget.  The committed
+``BENCH_6.json`` predates the removal of the process-parallel engines
+and keeps their last ladder as the evidence for that removal; write new
+engine-ladder records to another path.
 
 A fifth measurement records the **dynamic-session trajectory** into
 ``BENCH_9.json``: incremental re-peel work under localized edge
@@ -64,18 +62,12 @@ import time
 
 import numpy as np
 
-from repro.backends import available_backends, shutdown_executors
 from repro.bench.workloads import paper_random_graph, paper_rmat_graph
 from repro.core.matching import (
-    parallel_matching_vectorized,
     rootset_matching_vectorized,
     sequential_greedy_matching,
 )
-from repro.core.mis import (
-    parallel_mis_vectorized,
-    rootset_mis_vectorized,
-    sequential_greedy_mis,
-)
+from repro.core.mis import rootset_mis_vectorized, sequential_greedy_mis
 from repro.core.orderings import random_priorities
 from repro.graphs.generators import uniform_random_graph
 from repro.kernels import clear_partition_caches
@@ -94,24 +86,16 @@ def _best(fn, reps):
     return best
 
 
-def _bench_problem(problem, graph, worker_counts, reps):
-    """One problem's ladder: sequential → rootset-vec → parallel-vec × W."""
+def _bench_problem(problem, graph, reps):
+    """One problem's ladder: sequential → rootset-vec (cold, warm)."""
     if problem == "mis":
         payload = graph
         ranks = random_priorities(graph.num_vertices, seed=SEED)
-        seq, vec, par = (
-            sequential_greedy_mis,
-            rootset_mis_vectorized,
-            parallel_mis_vectorized,
-        )
+        seq, vec = sequential_greedy_mis, rootset_mis_vectorized
     else:
         payload = graph.edge_list()
         ranks = random_priorities(payload.num_edges, seed=SEED)
-        seq, vec, par = (
-            sequential_greedy_matching,
-            rootset_matching_vectorized,
-            parallel_matching_vectorized,
-        )
+        seq, vec = sequential_greedy_matching, rootset_matching_vectorized
 
     ref = seq(payload, ranks)
     seq_wall = _best(lambda: seq(payload, ranks), max(1, reps // 3))
@@ -125,40 +109,11 @@ def _bench_problem(problem, graph, worker_counts, reps):
     assert np.array_equal(check.status, ref.status), f"{problem}: vec mismatch"
     vec_warm = _best(lambda: vec(payload, ranks, machine=null_machine()), reps)
 
-    tiers = {}
-    for workers in worker_counts:
-        res = par(
-            payload, ranks, workers=workers, min_fanout=0,
-            machine=null_machine(),
-        )
-        assert np.array_equal(res.status, ref.status), (
-            f"{problem}: parallel-vec x{workers} mismatch"
-        )
-        wall = _best(
-            lambda: par(payload, ranks, workers=workers, min_fanout=0,
-                        machine=null_machine()),
-            reps,
-        )
-        aux = res.stats.aux["parallel"]
-        tiers[str(workers)] = {
-            "wall_s": wall,
-            "speedup_vs_sequential": seq_wall / wall,
-            "speedup_vs_rootset_vec_warm": vec_warm / wall,
-            "fanout_steps": aux["fanout_steps"],
-            "local_steps": aux["local_steps"],
-            "split": aux["split"],
-            "worker_busy_s": aux["worker_busy_s"],
-            "barrier_wait_s": aux["barrier_wait_s"],
-            "bit_identical_to_sequential": True,
-        }
-        shutdown_executors()
-
     return {
         "sequential_wall_s": seq_wall,
         "rootset_vec_wall_cold_s": vec_cold,
         "rootset_vec_wall_warm_s": vec_warm,
         "cold_warm_ratio": vec_cold / vec_warm,
-        "parallel_vec": tiers,
     }
 
 
@@ -456,14 +411,12 @@ def main(argv=None):
 
     if smoke:
         workloads = {"random": uniform_random_graph(2000, 8000, seed=SEED)}
-        worker_counts = (1, 2)
         reps, requests = 2, 3
     else:
         workloads = {
             "random": paper_random_graph("small"),
             "rmat": paper_rmat_graph("small"),
         }
-        worker_counts = (1, 2, 4, 8)
         reps, requests = 9, 15
 
     if dynamic_only:
@@ -548,19 +501,10 @@ def main(argv=None):
             "scale": "smoke" if smoke else "small",
             "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
-            "backends": available_backends(),
-            "worker_counts": list(worker_counts),
             "method": (
                 "wall clock = best of N interleaved runs; cold clears the "
-                "memoized partition/incidence caches per run; parallel-vec "
-                "forced to fan out every step (min_fanout=0); every "
+                "memoized partition/incidence caches per run; every "
                 "configuration asserted bit-identical to sequential greedy"
-            ),
-            "caveat": (
-                "speedups are honest wall clock on this machine; with "
-                f"cpu_count={os.cpu_count()} the shard processes time-share "
-                "cores, so parallel-vec cannot beat the single-process "
-                "engine unless cpu_count exceeds the worker count"
             ),
         },
         "workloads": {},
@@ -570,7 +514,7 @@ def main(argv=None):
     for name, graph in workloads.items():
         entry = {"n": graph.num_vertices, "m": graph.num_edges}
         for problem in ("mis", "mm"):
-            entry[problem] = _bench_problem(problem, graph, worker_counts, reps)
+            entry[problem] = _bench_problem(problem, graph, reps)
             print(f"[bench] {name}/{problem}: "
                   f"seq={entry[problem]['sequential_wall_s']:.4f}s "
                   f"vec-warm={entry[problem]['rootset_vec_wall_warm_s']:.4f}s")

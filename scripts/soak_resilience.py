@@ -2,11 +2,11 @@
 """Run every declarative chaos scenario and write a resilience soak report.
 
 Executes the full :data:`repro.resilience.SCENARIOS` suite — kernel
-faults, worker kills pre/post compute, shard kills mid-barrier,
-shared-memory segment corruption/unlink/orphaning, deadline storms, and
-queue floods — via :func:`repro.resilience.run_scenario`, then checks
-the invariants each scenario is allowed to bend and the ones it never
-may:
+faults, worker kills pre/post compute, shared-memory segment
+corruption/unlink/orphaning, deadline storms, queue floods, gateway
+and network attacks, and session churn — via
+:func:`repro.resilience.run_scenario`, then checks the invariants each
+scenario is allowed to bend and the ones it never may:
 
 * typed :class:`repro.errors.ReproError` failures and shed load are
   *expected* under chaos;

@@ -1,33 +1,21 @@
-"""Performance tier: kernel backends, shared-memory graphs, process fan-out.
-
-This subpackage is what turns the simulated parallelism of the engine
-layer into *real* multicore execution, three coordinated pieces:
+"""Shared-memory graphs: zero-copy bundles and their segment ledger.
 
 ========================  ==================================================
 :mod:`~repro.backends.sharedmem`  zero-copy graph bundles in
                                   ``multiprocessing.shared_memory``
                                   (:class:`SharedArrays`, :class:`SharedCSR`)
-:mod:`~repro.backends.registry`   pluggable kernel backends (``numpy``
-                                  default, optional ``numba`` JIT) selected
-                                  via ``REPRO_BACKEND`` / CLI ``--backend``
-:mod:`~repro.backends.executor`   persistent shard-worker pool executing
-                                  frontier kernels over disjoint slices of a
-                                  step's frontier (:class:`FrontierExecutor`)
+:mod:`~repro.backends.ledger`     on-disk record of every live segment's
+                                  owner, read by the reaper
 ========================  ==================================================
 
 Layering: ``backends`` sits beside :mod:`repro.kernels` — it may import
 the substrate (``graphs``/``pram``/``kernels``) but never the engine,
-service, or bench layers.  The ``parallel-vec`` engines in
-:mod:`repro.core` and the :class:`~repro.service.SolverService` build on
-top of it.  See ``docs/performance.md`` for the lifecycle rules.
+service, or bench layers.  The :class:`~repro.service.SolverService`
+registers graphs through it, so a solve on a registered graph ships no
+graph bytes through the worker pipe.  See ``docs/performance.md`` for the
+lifecycle rules.
 """
 
-from repro.backends.registry import (
-    KernelBackend,
-    available_backends,
-    backend_names,
-    resolve_backend,
-)
 from repro.backends.ledger import (
     LedgerEntry,
     SegmentLedger,
@@ -35,26 +23,12 @@ from repro.backends.ledger import (
     ledger_enabled,
 )
 from repro.backends.sharedmem import SharedArrays, SharedCSR
-from repro.backends.executor import (
-    FrontierExecutor,
-    executor_status,
-    get_executor,
-    shutdown_executors,
-)
 
 __all__ = [
-    "KernelBackend",
-    "available_backends",
-    "backend_names",
-    "resolve_backend",
     "LedgerEntry",
     "SegmentLedger",
     "default_ledger",
     "ledger_enabled",
     "SharedArrays",
     "SharedCSR",
-    "FrontierExecutor",
-    "executor_status",
-    "get_executor",
-    "shutdown_executors",
 ]

@@ -12,10 +12,9 @@ engine                  paper reference                              result
 ``prefix``              prefix-based schedule (Section 6 experiments) lex-first matching
 ``rootset``             Lemma 5.3 (sorted incidence + mmcheck)       lex-first matching
 ``rootset-vec``         Lemma 5.3 on vectorized frontier kernels     lex-first matching
-``parallel-vec``        Lemma 5.3 across shard processes             lex-first matching
 ======================  ===========================================  ==================
 
-All six return identical matchings for the same edge priorities.
+All five return identical matchings for the same edge priorities.
 """
 
 from repro.core.matching.sequential import sequential_greedy_matching
@@ -23,7 +22,6 @@ from repro.core.matching.parallel import parallel_greedy_matching
 from repro.core.matching.prefix import prefix_greedy_matching
 from repro.core.matching.rootset import rootset_matching
 from repro.core.matching.rootset_vectorized import rootset_matching_vectorized
-from repro.core.matching.parallel_vectorized import parallel_matching_vectorized
 from repro.core.matching.scheduled import randomly_scheduled_matching
 from repro.core.matching.api import maximal_matching, MM_METHODS
 from repro.core.matching.verify import (
@@ -39,7 +37,6 @@ __all__ = [
     "prefix_greedy_matching",
     "rootset_matching",
     "rootset_matching_vectorized",
-    "parallel_matching_vectorized",
     "randomly_scheduled_matching",
     "maximal_matching",
     "MM_METHODS",

@@ -68,9 +68,6 @@ def maximal_matching(
     budget: Optional[Budget] = None,
     fallback: bool = False,
     tracer=None,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-    min_fanout: Optional[int] = None,
 ) -> MatchingResult:
     """Compute a maximal matching.
 
@@ -113,10 +110,6 @@ def maximal_matching(
     tracer:
         Optional :class:`~repro.observability.Tracer` receiving one round
         event per synchronous step (see ``docs/observability.md``).
-    backend, workers, min_fanout:
-        Parallel-tier knobs, only meaningful for ``method="parallel-vec"``
-        (kernel backend, shard-process count, and the minimum kill-scan
-        size that triggers fan-out; see ``docs/performance.md``).
 
     Examples
     --------
@@ -137,16 +130,11 @@ def maximal_matching(
             budget=budget,
             fallback=fallback,
             tracer=tracer,
-            backend=backend,
-            workers=workers,
-            min_fanout=min_fanout,
         ),
     )
     method = opts.method
     prefix_size, prefix_frac = opts.prefix_size, opts.prefix_frac
-    guards, backend, workers, min_fanout = (
-        opts.guards, opts.backend, opts.workers, opts.min_fanout,
-    )
+    guards = opts.guards
     mode = resolve_guard_mode(guards)
     if isinstance(graph_or_edges, CSRGraph):
         check_csr_graph(graph_or_edges)
@@ -167,18 +155,6 @@ def maximal_matching(
         raise EngineError(
             f"prefix_size/prefix_frac only apply to method='prefix', not {method!r}"
         )
-    if backend is not None and not spec.supports_backend:
-        raise EngineError(
-            f"backend= only applies to method='parallel-vec', not {method!r}"
-        )
-    if workers is not None and not spec.supports_workers:
-        raise EngineError(
-            f"workers= only applies to method='parallel-vec', not {method!r}"
-        )
-    if min_fanout is not None and not spec.supports_workers:
-        raise EngineError(
-            f"min_fanout= only applies to method='parallel-vec', not {method!r}"
-        )
     if ranks is not None:
         ranks = check_ranks(ranks, edges.num_edges)
 
@@ -196,10 +172,7 @@ def maximal_matching(
             )
         except _FALLBACK_CATCH as exc:
             attempts.append({"method": m, "error": f"{type(exc).__name__}: {exc}"})
-            retry_kwargs = dict(
-                kwargs, prefix_size=None, prefix_frac=None,
-                backend=None, workers=None, min_fanout=None,
-            )
+            retry_kwargs = dict(kwargs, prefix_size=None, prefix_frac=None)
             continue
         if attempts:
             result.stats.aux["degraded"] = True

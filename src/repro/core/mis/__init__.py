@@ -1,6 +1,6 @@
 """Maximal independent set engines.
 
-Seven interchangeable engines, all driven by the same priority array π:
+Six interchangeable engines, all driven by the same priority array π:
 
 ======================  ==========================================  =============
 engine                  paper reference                             result
@@ -10,7 +10,6 @@ engine                  paper reference                             result
 ``prefix``              Algorithm 3 (prefix-based, linear work)     lex-first MIS
 ``rootset``             Lemma 4.2 (root-set traversal, linear work) lex-first MIS
 ``rootset-vec``         Lemma 4.2 on vectorized frontier kernels    lex-first MIS
-``parallel-vec``        Lemma 4.2 across shard processes            lex-first MIS
 ``luby``                Luby's Algorithm A (baseline)               *a* MIS
 ======================  ==========================================  =============
 
@@ -27,7 +26,6 @@ from repro.core.mis.prefix import (
 )
 from repro.core.mis.rootset import rootset_mis
 from repro.core.mis.rootset_vectorized import rootset_mis_vectorized
-from repro.core.mis.parallel_vectorized import parallel_mis_vectorized
 from repro.core.mis.luby import luby_mis
 from repro.core.mis.scheduled import randomly_scheduled_mis
 from repro.core.mis.api import maximal_independent_set, MIS_METHODS
@@ -46,7 +44,6 @@ __all__ = [
     "theorem45_prefix_sizes",
     "rootset_mis",
     "rootset_mis_vectorized",
-    "parallel_mis_vectorized",
     "randomly_scheduled_mis",
     "luby_mis",
     "maximal_independent_set",

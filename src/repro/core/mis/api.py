@@ -83,9 +83,6 @@ def maximal_independent_set(
     budget: Optional[Budget] = None,
     fallback: bool = False,
     tracer=None,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-    min_fanout: Optional[int] = None,
 ) -> MISResult:
     """Compute a maximal independent set of *graph*.
 
@@ -112,10 +109,9 @@ def maximal_independent_set(
         (its registry entry has ``supports_ranks=False``).
     method:
         One of :data:`MIS_METHODS`.  ``"sequential"``, ``"parallel"``,
-        ``"prefix"``, ``"rootset"``, ``"rootset-vec"`` and
-        ``"parallel-vec"`` all return the lexicographically first MIS for
-        *ranks* (the paper's determinism property); ``"luby"`` returns a
-        seed-dependent MIS.
+        ``"prefix"``, ``"rootset"`` and ``"rootset-vec"`` all return the
+        lexicographically first MIS for *ranks* (the paper's determinism
+        property); ``"luby"`` returns a seed-dependent MIS.
     prefix_size, prefix_frac:
         Prefix knobs, only meaningful for ``method="prefix"``.
     seed:
@@ -144,18 +140,6 @@ def maximal_independent_set(
     tracer:
         Optional :class:`~repro.observability.Tracer` receiving one round
         event per synchronous step (see ``docs/observability.md``).
-    backend, workers:
-        Parallel-tier knobs, only meaningful for ``method="parallel-vec"``
-        (registry flags ``supports_backend``/``supports_workers``):
-        *backend* selects the kernel backend (``"numpy"``/``"numba"``,
-        default via ``REPRO_BACKEND``), *workers* the shard-process count
-        (default via ``REPRO_WORKERS``, else ``min(cpu_count, 4)``).  See
-        ``docs/performance.md``.
-    min_fanout:
-        Minimum gathered-arc count before a ``parallel-vec`` step fans out
-        to shard processes (smaller steps run locally); defaults to
-        :data:`repro.core.fanout.DEFAULT_MIN_FANOUT`.  Set ``0`` to force
-        fan-out on every step (used by parity tests).
 
     Returns
     -------
@@ -181,34 +165,17 @@ def maximal_independent_set(
             budget=budget,
             fallback=fallback,
             tracer=tracer,
-            backend=backend,
-            workers=workers,
-            min_fanout=min_fanout,
         ),
     )
     method = opts.method
     prefix_size, prefix_frac = opts.prefix_size, opts.prefix_frac
-    guards, backend, workers, min_fanout = (
-        opts.guards, opts.backend, opts.workers, opts.min_fanout,
-    )
+    guards = opts.guards
     spec = engine_registry.get_engine("mis", method)
     if not spec.supports_prefix_knobs and (
         prefix_size is not None or prefix_frac is not None
     ):
         raise EngineError(
             f"prefix_size/prefix_frac only apply to method='prefix', not {method!r}"
-        )
-    if backend is not None and not spec.supports_backend:
-        raise EngineError(
-            f"backend= only applies to method='parallel-vec', not {method!r}"
-        )
-    if workers is not None and not spec.supports_workers:
-        raise EngineError(
-            f"workers= only applies to method='parallel-vec', not {method!r}"
-        )
-    if min_fanout is not None and not spec.supports_workers:
-        raise EngineError(
-            f"min_fanout= only applies to method='parallel-vec', not {method!r}"
         )
     mode = resolve_guard_mode(guards)
     check_csr_graph(graph)
@@ -236,10 +203,7 @@ def maximal_independent_set(
             attempts.append({"method": m, "error": f"{type(exc).__name__}: {exc}"})
             # Retries drop engine-specific knobs: the chain engines do not
             # take them, and a bad knob should not poison the chain.
-            retry_kwargs = dict(
-                kwargs, prefix_size=None, prefix_frac=None,
-                backend=None, workers=None, min_fanout=None,
-            )
+            retry_kwargs = dict(kwargs, prefix_size=None, prefix_frac=None)
             continue
         if attempts:
             result.stats.aux["degraded"] = True

@@ -16,8 +16,7 @@ in rank order:
 Processing in rank order re-establishes the unique greedy fixpoint, so
 the maintained answer is **bit-identical** to running sequential greedy
 from scratch on the mutated graph (the mutation-parity suite asserts
-this after every batch, against the ``rootset-vec`` / ``parallel-vec``
-engines too).
+this after every batch, against the ``rootset-vec`` engine too).
 
 Work accounting: each batch records the affected-region size (items
 popped), the flips, the arcs scanned, and the incremental-vs-scratch

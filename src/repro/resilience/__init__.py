@@ -1,14 +1,13 @@
 """Resilience layer: supervision, leak reaping, backpressure, chaos.
 
-PR 6 made the parallelism real — shard processes, shared-memory
-segments, a subprocess worker pool — and every one of those is a new
+Shared-memory segments and a subprocess worker pool are each a new
 way to fail *partially*: a killed owner leaks its segment until reboot,
 a wedged worker stalls its queue slot, a burst of traffic overwhelms a
 fixed admission bound.  This package supervises the whole stack:
 
 ========================  ==================================================
 :mod:`~repro.resilience.health`        one :class:`HealthReport` spanning
-                                       pool workers, shard pools, breakers,
+                                       pool workers, breakers,
                                        queue, and segment inventory
                                        (surfaced as ``SolverService.health()``
                                        and ``repro health``)
@@ -25,7 +24,7 @@ fixed admission bound.  This package supervises the whole stack:
 :mod:`~repro.resilience.chaos`         declarative :class:`ChaosScenario`
                                        records and the one runner that
                                        executes them across kernels →
-                                       engines → backends → service
+                                       engines → segments → service
 ========================  ==================================================
 
 Layering: ``resilience`` sits on top of the service tier — it may import

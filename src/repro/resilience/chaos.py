@@ -2,11 +2,11 @@
 
 Chaos knobs used to live scattered across scripts: ``stress_service.py``
 hand-rolled kill/fault storms, ``fuzz_determinism.py`` hand-rolled
-another, and nothing exercised the shard or segment layers at all.  This
+another, and nothing exercised the segment layer at all.  This
 module replaces the ad-hoc knobs with *data*: a :class:`ChaosScenario`
 names one failure mode — seeded kernel faults, worker kills pre/post
-compute, shard deaths mid-barrier, shared-segment corruption/unlink,
-orphaned segments, deadline storms, queue floods, and the **network
+compute, shared-segment corruption/unlink, orphaned segments,
+deadline storms, queue floods, and the **network
 axes** (connection floods, slow-loris clients, gateway kills
 mid-request, cache poisoning) that attack the HTTP front door — and
 :func:`run_scenario` executes any of them through the same checks:
@@ -17,7 +17,9 @@ mid-request, cache poisoning) that attack the HTTP front door — and
   ReproError` — a bare ``Exception`` escaping the stack is a finding;
 * after the run, **zero** leaked ``repro-*`` shared-memory segments
   (orphans must fall to :func:`~repro.resilience.reaper.reap_orphans`)
-  and **zero** stray child processes.
+  and **zero** stray child processes.  A new segment is a leak unless
+  its ledger owner is alive and is not this process, so segments that
+  another live process creates meanwhile are never blamed on the run.
 
 The canonical :data:`SCENARIOS` tuple is what the soak script
 (``scripts/soak_resilience.py``) and the chaos test suite iterate;
@@ -41,19 +43,20 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.backends.executor import get_executor, shutdown_executors
 from repro.backends.sharedmem import SharedArrays, SharedCSR
 from repro.core.matching.api import maximal_matching
 from repro.core.mis.api import maximal_independent_set
 from repro.core.result import MISResult
 from repro.errors import (
-    DeadlineExceededError,
     QueueFullError,
     ReproError,
-    WorkerCrashError,
 )
 from repro.graphs.generators.random_graphs import uniform_random_graph
-from repro.resilience.reaper import _segment_exists, reap_orphans
+from repro.resilience.reaper import (
+    _segment_exists,
+    reap_orphans,
+    segment_inventory,
+)
 from repro.service.config import ServiceConfig, SolveRequest
 from repro.service.service import SolverService
 
@@ -80,8 +83,6 @@ class ChaosScenario:
     ``deadline_storm``, ``queue_flood``, ``segment_attack`` of
     ``"unlink"``/``"corrupt"``) run through a real
     :class:`~repro.service.SolverService` built by :meth:`service_config`.
-    ``shard_kill`` runs at the engine/backends level against a
-    :class:`~repro.backends.executor.FrontierExecutor`;
     ``segment_attack="orphan"`` SIGKILLs a segment-owning child process
     and requires the reaper to recover.  ``gateway=True`` (implied by
     any ``network_attack``) drives the storm through a live
@@ -99,7 +100,6 @@ class ChaosScenario:
     kill_probability: float = 0.0
     kill_point: Optional[str] = None
     fault_probability: float = 0.0
-    shard_kill: bool = False
     segment_attack: Optional[str] = None
     deadline_storm: bool = False
     queue_flood: bool = False
@@ -162,14 +162,14 @@ class ChaosScenario:
         return ServiceConfig(**base)
 
 
-#: The canonical scenario suite, spanning kernels → engines → backends →
-#: service.  ``scenario_by_name`` looks entries up; the soak script and
-#: the chaos tests iterate the whole tuple.
+#: The canonical scenario suite, spanning kernels → engines → shared
+#: segments → service → gateway → sessions.  ``scenario_by_name`` looks
+#: entries up; the soak script and the chaos tests iterate the whole
+#: tuple.
 SCENARIOS: Tuple[ChaosScenario, ...] = (
     ChaosScenario(
         "baseline",
-        "no faults; validates the harness itself (including one "
-        "parallel-vec request per round-robin)",
+        "no faults; validates the harness itself",
         requests=10, seed=101,
     ),
     ChaosScenario(
@@ -189,12 +189,6 @@ SCENARIOS: Tuple[ChaosScenario, ...] = (
         "workers hard-exit after computing but before replying",
         requests=12, kill_probability=0.3, kill_point="post",
         max_retries=8, seed=404,
-    ),
-    ChaosScenario(
-        "shard-kill-midbarrier",
-        "shard workers die mid-barrier inside parallel-vec; the pool "
-        "respawns and the re-solve stays bit-identical",
-        requests=6, shard_kill=True, seed=505,
     ),
     ChaosScenario(
         "segment-unlink",
@@ -372,6 +366,24 @@ def _shm_segments() -> Set[str]:
     return {p.name for p in root.glob("repro-*")}
 
 
+def _leaked_segments(before: Set[str]) -> List[str]:
+    """``repro-*`` segments created since *before* that nobody else owns.
+
+    A new segment is a leak unless its ledger owner is alive and is not
+    this process: segments a concurrent process (another test run, a
+    benchmark) creates meanwhile are that process's business.
+    """
+    new = _shm_segments() - before
+    if not new:
+        return []
+    me = os.getpid()
+    foreign = {
+        rec.name for rec in segment_inventory()
+        if rec.owner_alive and rec.pid != me
+    }
+    return sorted(new - foreign)
+
+
 def _build_graphs(seed: int):
     sizes = ((240, 700), (300, 900), (180, 420))
     return [
@@ -420,9 +432,7 @@ def run_scenario(
     """
     t0 = time.monotonic()
     before = _shm_segments()
-    if scenario.shard_kill:
-        outcome = _run_shard_kill(scenario, seed_offset)
-    elif scenario.segment_attack == "orphan":
+    if scenario.segment_attack == "orphan":
         outcome = _run_segment_orphan(scenario, seed_offset)
     elif scenario.session_churn:
         outcome = _run_session_churn(scenario, seed_offset)
@@ -433,11 +443,11 @@ def run_scenario(
     else:
         outcome = _run_service(scenario, seed_offset)
     _collect_strays(outcome)
-    leaked = sorted(_shm_segments() - before)
+    leaked = _leaked_segments(before)
     if leaked:
         report = reap_orphans()
         outcome.reaped_segments.extend(report.reaped)
-        leaked = sorted(set(leaked) & _shm_segments())
+        leaked = _leaked_segments(before)
     outcome.leaked_segments = leaked
     outcome.duration_s = time.monotonic() - t0
     return outcome
@@ -498,11 +508,6 @@ def _run_service(scenario: ChaosScenario, seed_offset: int) -> ScenarioOutcome:
                 timeout_seconds=timeout_s,
                 options={} if segment_mode else {"seed": s},
             )
-            if scenario.name == "baseline" and i % 4 == 3:
-                # One cross-layer request per round-robin: service →
-                # parallel-vec engine → shard pool inside the worker.
-                request.method = "parallel-vec"
-                request.options.update(workers=2, min_fanout=0)
             try:
                 futures[i] = svc.submit(request, block=not scenario.queue_flood)
             except QueueFullError:
@@ -548,57 +553,6 @@ def _run_service(scenario: ChaosScenario, seed_offset: int) -> ScenarioOutcome:
         outcome.stats = svc.stats().as_dict()
     finally:
         svc.shutdown(drain=False)
-    return outcome
-
-
-def _run_shard_kill(scenario: ChaosScenario, seed_offset: int) -> ScenarioOutcome:
-    outcome = ScenarioOutcome(scenario.name, scenario.requests)
-    rng = np.random.default_rng((scenario.seed, seed_offset))
-    graphs = _build_graphs(scenario.seed + seed_offset)
-    workers = max(scenario.workers, 2)
-    try:
-        for i in range(scenario.requests):
-            graph = graphs[i % len(graphs)]
-            s = int(rng.integers(2**31))
-            ref = _reference("mis", graph, s)
-            executor = get_executor(workers)
-            executor.arm_kill(i % workers, after=1 + i % 3)
-            try:
-                first = maximal_independent_set(
-                    graph, seed=s, method="parallel-vec",
-                    workers=workers, min_fanout=0,
-                )
-            except (WorkerCrashError, DeadlineExceededError) as exc:
-                outcome._count_failure(exc)
-            else:
-                if not _matches(first, ref):
-                    outcome.mismatches.append(
-                        f"solve {i} diverged with an armed shard kill"
-                    )
-            # The pool must come back: re-solve until the armed kill has
-            # burned off (each crash respawns every shard), then match.
-            recovered = None
-            for _attempt in range(4):
-                try:
-                    recovered = maximal_independent_set(
-                        graph, seed=s, method="parallel-vec",
-                        workers=workers, min_fanout=0,
-                    )
-                    break
-                except WorkerCrashError as exc:
-                    outcome._count_failure(exc)
-            if recovered is None:
-                outcome.untyped_failures.append(
-                    f"solve {i}: pool never recovered from shard kill"
-                )
-            elif _matches(recovered, ref):
-                outcome.completed += 1
-            else:
-                outcome.mismatches.append(
-                    f"solve {i} diverged after pool respawn"
-                )
-    finally:
-        shutdown_executors()
     return outcome
 
 

@@ -1,14 +1,13 @@
-"""Unified health reporting across pool workers, shards, and segments.
+"""Unified health reporting across pool workers, queue, and segments.
 
 :func:`build_health_report` snapshots one :class:`HealthReport` from a
 running :class:`~repro.service.SolverService`: per-worker liveness and
 progress (a busy worker is *stalled* once its job has been in flight
 longer than ``stall_after_s``), restart/crash counters, circuit-breaker
-states, queue depth against the effective admission limit, any
-:class:`~repro.backends.executor.FrontierExecutor` shard pools owned by
-this process, and the shared-memory segment inventory cross-checked
-against owner liveness.  ``SolverService.health()`` and the ``repro
-health`` subcommand are thin wrappers over it.
+states, queue depth against the effective admission limit, and the
+shared-memory segment inventory cross-checked against owner liveness.
+``SolverService.health()`` and the ``repro health`` subcommand are thin
+wrappers over it.
 
 Status rolls up worst-first:
 
@@ -24,7 +23,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.backends.executor import executor_status
 from repro.backends.ledger import SegmentLedger
 from repro.resilience.reaper import segment_inventory
 
@@ -103,7 +101,6 @@ class HealthReport:
     max_queue: int
     admission_limit: Optional[int]      #: AIMD limit (None: fixed bound only)
     breaker_states: Dict[str, str]
-    shard_pools: List[Dict[str, Any]]   #: FrontierExecutor pools, this process
     segments: List[SegmentHealth]
     registered_graphs: int              #: service-registered SharedCSR count
     latency_p95: float
@@ -128,7 +125,6 @@ class HealthReport:
             "max_queue": self.max_queue,
             "admission_limit": self.admission_limit,
             "breaker_states": dict(self.breaker_states),
-            "shard_pools": [dict(p) for p in self.shard_pools],
             "segments": [s.as_dict() for s in self.segments],
             "registered_graphs": self.registered_graphs,
             "latency_p95": self.latency_p95,
@@ -170,11 +166,6 @@ class HealthReport:
             + (", ".join(f"{k}={v}" for k, v in sorted(open_breakers.items()))
                if open_breakers else "all closed")
         )
-        for pool in self.shard_pools:
-            lines.append(
-                f"shard pool:      {pool['alive']}/{pool['workers']} shards "
-                f"alive, {len(pool.get('segments', []))} segment(s)"
-            )
         orphans = [s for s in self.segments if s.orphaned]
         lines.append(
             f"segments:        {len(self.segments)} ledgered "
@@ -366,7 +357,6 @@ def build_health_report(
         max_queue=service.config.max_queue,
         admission_limit=admission_limit,
         breaker_states=breaker_states,
-        shard_pools=executor_status(),
         segments=segments,
         registered_graphs=registered,
         latency_p95=latency_p95,

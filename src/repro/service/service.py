@@ -652,10 +652,10 @@ class SolverService:
         """Cross-layer :class:`~repro.resilience.health.HealthReport`.
 
         Covers per-worker liveness/progress, restart counters, breaker
-        states, queue depth against the effective admission limit, shard
-        pools owned by this process, and the ledgered shared-memory
-        segment inventory (``include_segments=False`` skips the segment
-        scan for cheap high-frequency probes).
+        states, queue depth against the effective admission limit, and
+        the ledgered shared-memory segment inventory
+        (``include_segments=False`` skips the segment scan for cheap
+        high-frequency probes).
         """
         from repro.resilience.health import build_health_report
 
@@ -1008,10 +1008,7 @@ class SolverService:
             aux["degraded"] = True
             aux["fallback_engine"] = served
         # wall_time_s is submission-to-completion, recorded exactly once
-        # per request.  An engine that fanned out inside the worker
-        # reports its per-shard busy seconds separately under
-        # aux["parallel"]["worker_busy_s"]; those may legitimately sum to
-        # more than wall_time_s and are never folded into it.
+        # per request.
         aux["service"] = {
             "request_id": ticket.id,
             "engine": served,

@@ -236,15 +236,6 @@ def worker_main(conn, worker_id: int, sys_path: Sequence[str] = ()) -> None:
             conn.send(reply)
         except (BrokenPipeError, OSError):
             break
-    # Reap any shard executor this worker's parallel-vec runs spawned:
-    # the executor's scratch/bundle segments are owned by this process
-    # and must be unlinked before it exits.
-    try:
-        from repro.backends.executor import shutdown_executors
-
-        shutdown_executors()
-    except Exception:  # pragma: no cover - best-effort cleanup
-        pass
     try:
         conn.close()
     except OSError:  # pragma: no cover - already closed

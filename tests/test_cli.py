@@ -75,23 +75,6 @@ class TestMis:
         b = capsys.readouterr().out.splitlines()[0]
         assert a == b  # identical "MIS size" line
 
-    def test_parallel_vec_with_backend_and_workers(self, graph_file, capsys):
-        main(["mis", str(graph_file), "--method", "sequential", "--seed", "5"])
-        ref = capsys.readouterr().out.splitlines()[0]
-        assert main([
-            "mis", str(graph_file), "--method", "parallel-vec", "--seed", "5",
-            "--backend", "numpy", "--workers", "1",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert out.splitlines()[0] == ref
-        assert "mis/parallel-vec" in out
-
-    def test_backend_flag_rejected_elsewhere(self, graph_file, capsys):
-        assert main([
-            "mis", str(graph_file), "--method", "rootset-vec",
-            "--backend", "numpy",
-        ]) != 0
-
 
 class TestMm:
     @pytest.mark.parametrize(
@@ -101,15 +84,6 @@ class TestMm:
         assert main(["mm", str(graph_file), "--method", method]) == 0
         out = capsys.readouterr().out
         assert "matching size:" in out
-
-    def test_parallel_vec_with_workers(self, graph_file, capsys):
-        main(["mm", str(graph_file), "--method", "sequential", "--seed", "4"])
-        ref = capsys.readouterr().out.splitlines()[0]
-        assert main([
-            "mm", str(graph_file), "--method", "parallel-vec", "--seed", "4",
-            "--workers", "1",
-        ]) == 0
-        assert capsys.readouterr().out.splitlines()[0] == ref
 
 
 class TestDeps:

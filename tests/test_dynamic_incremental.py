@@ -5,8 +5,8 @@ from-scratch run of the sequential greedy on the mutated graph — the
 whole point of re-peeling only the affected priority-DAG region.  This
 suite drives both maintainers through seeded random mutation batches
 with ``guards="full"`` (every batch ends in a verified fixpoint) and
-checks the maintained status vector against the ``rootset-vec`` and
-``parallel-vec`` reference engines after every batch, plus the
+checks the maintained status vector against the ``rootset-vec``
+reference engine after every batch, plus the
 state-dict round trip, the streaming front end, and the batch
 validation contract (a rejected batch must leave the session intact).
 """
@@ -33,7 +33,7 @@ from repro.graphs.generators import (
 pytestmark = pytest.mark.sessions
 
 BATCHES = 6
-REFERENCE_METHODS = ("rootset-vec", "parallel-vec")
+REFERENCE_METHODS = ("rootset-vec",)
 
 
 def _random_batch(rng, n, live, size):

@@ -49,7 +49,7 @@ class TestRegistryShape:
         assert "theorem45" not in MM_METHODS
         assert MIS_METHODS == tuple(MIS_METHODS)  # tuple-equality preserved
         assert repr(MIS_METHODS) == repr(tuple(MIS_METHODS))
-        assert len(MM_METHODS) == 6
+        assert len(MM_METHODS) == 5
 
     def test_top_level_reexports(self):
         assert repro.MIS_METHODS is MIS_METHODS
@@ -125,16 +125,6 @@ class TestFlagsAreHonest:
         assert takes_ranks == spec.supports_ranks, spec.method
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
-    def test_backend_flag(self, spec):
-        params = inspect.signature(spec.resolve()).parameters
-        assert ("backend" in params) == spec.supports_backend, spec.method
-
-    @pytest.mark.parametrize("spec", ALL_SPECS)
-    def test_workers_flag(self, spec):
-        params = inspect.signature(spec.resolve()).parameters
-        assert ("workers" in params) == spec.supports_workers, spec.method
-
-    @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_tracer_accepted_everywhere(self, spec):
         params = inspect.signature(spec.resolve()).parameters
         assert "tracer" in params, spec.method
@@ -144,16 +134,6 @@ class TestFlagsAreHonest:
             maximal_independent_set(graph, method="rootset-vec", prefix_size=8)
         with pytest.raises(EngineError, match="only apply to method='prefix'"):
             maximal_matching(graph, method="sequential", prefix_frac=0.5)
-
-    def test_parallel_knobs_rejected_by_other_engines(self, graph):
-        with pytest.raises(EngineError, match="only applies to method='parallel-vec'"):
-            maximal_independent_set(graph, method="rootset-vec", backend="numpy")
-        with pytest.raises(EngineError, match="only applies to method='parallel-vec'"):
-            maximal_independent_set(graph, method="sequential", workers=2)
-        with pytest.raises(EngineError, match="only applies to method='parallel-vec'"):
-            maximal_matching(graph, method="rootset", workers=2)
-        with pytest.raises(EngineError, match="only applies to method='parallel-vec'"):
-            maximal_matching(graph, method="rootset-vec", min_fanout=0)
 
     def test_ranks_rejected_by_luby(self, graph):
         ranks = random_priorities(graph.num_vertices, seed=0)

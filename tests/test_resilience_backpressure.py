@@ -6,29 +6,25 @@ that overload signals shrink the limit, and that a hedged request
 returns a bit-identical result while the losing attempt is dropped.
 """
 
-import glob
-
 import numpy as np
 import pytest
 
 from repro.errors import QueueFullError
 from repro.graphs.generators import uniform_random_graph
 from repro.resilience import AdaptiveLimiter
+from repro.resilience.chaos import _leaked_segments, _shm_segments
 from repro.service import ServiceConfig, SolveRequest, SolverService
 
 pytestmark = pytest.mark.service
 
 
-def _segments():
-    return set(glob.glob("/dev/shm/repro-*"))
-
-
 @pytest.fixture(autouse=True)
 def no_leaked_segments():
-    before = _segments()
+    # Segments a live foreign process owns are not this test's leaks.
+    before = _shm_segments()
     yield
-    leaked = _segments() - before
-    assert not leaked, f"leaked shared segments: {sorted(leaked)}"
+    leaked = _leaked_segments(before)
+    assert not leaked, f"leaked shared segments: {leaked}"
 
 
 class TestAdaptiveLimiter:

@@ -9,9 +9,14 @@ corrupting real segments, and reaping a real SIGKILL'd orphan.
 
 import dataclasses
 import glob
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+from repro.backends import SharedArrays
 from repro.resilience import (
     SCENARIOS,
     ChaosScenario,
@@ -19,21 +24,20 @@ from repro.resilience import (
     run_scenario,
     scenario_by_name,
 )
+from repro.resilience import chaos
+from repro.resilience.chaos import _leaked_segments, _shm_segments
 from repro.service import ServiceConfig
 
 pytestmark = [pytest.mark.soak, pytest.mark.chaos, pytest.mark.service]
 
 
-def _segments():
-    return set(glob.glob("/dev/shm/repro-*"))
-
-
 @pytest.fixture(autouse=True)
 def no_leaked_segments():
-    before = _segments()
+    # Segments a live foreign process owns are not this test's leaks.
+    before = _shm_segments()
     yield
-    leaked = _segments() - before
-    assert not leaked, f"leaked shared segments: {sorted(leaked)}"
+    leaked = _leaked_segments(before)
+    assert not leaked, f"leaked shared segments: {leaked}"
 
 
 class TestScenarioData:
@@ -44,7 +48,6 @@ class TestScenarioData:
         # Every fault axis the harness knows is exercised somewhere.
         assert any(s.kill_probability > 0 for s in SCENARIOS)
         assert any(s.fault_probability > 0 for s in SCENARIOS)
-        assert any(s.shard_kill for s in SCENARIOS)
         assert any(s.deadline_storm for s in SCENARIOS)
         assert any(s.queue_flood for s in SCENARIOS)
         for attack in ("unlink", "corrupt", "orphan"):
@@ -142,6 +145,48 @@ def test_segment_orphan_actually_reaps():
     for name in outcome.reaped_segments:
         assert name.startswith("repro-")
         assert not glob.glob(f"/dev/shm/{name}")
+
+
+_FOREIGN_OWNER = """
+import sys
+import numpy as np
+from repro.backends import SharedArrays
+shared = SharedArrays.create({"x": np.arange(8)})
+print(shared.name, flush=True)
+sys.stdin.readline()
+shared.unlink()
+"""
+
+
+def test_leak_check_blames_only_its_own_segments(monkeypatch, tmp_path):
+    """A segment a live foreign process creates mid-run is not a leak;
+    a segment the run creates and never unlinks still is."""
+    monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path / "ledger"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.dirname(chaos.__file__) + "/../..",
+                    env.get("PYTHONPATH", "")) if p
+    )
+    foreign = subprocess.Popen(
+        [sys.executable, "-c", _FOREIGN_OWNER],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, text=True,
+    )
+    own = []
+
+    def leaky_run(scenario, seed_offset):
+        own.append(SharedArrays.create({"y": np.arange(4)}))
+        foreign_name = foreign.stdout.readline().strip()
+        assert foreign_name.startswith("repro-")
+        return ScenarioOutcome(scenario.name, scenario.requests, completed=1)
+
+    monkeypatch.setattr(chaos, "_run_service", leaky_run)
+    try:
+        outcome = run_scenario(scenario_by_name("baseline"))
+        assert outcome.leaked_segments == [own[0].name]
+    finally:
+        for shared in own:
+            shared.unlink()
+        foreign.communicate("done\n", timeout=30)
 
 
 def test_queue_flood_sheds_typed():

@@ -132,8 +132,9 @@ class TestBatch:
 
 class TestValidationAndErrors:
     def test_unknown_method_rejected_at_submit(self, service, graph):
-        with pytest.raises(EngineError, match="unknown"):
-            service.submit(SolveRequest("mis", graph, method="magic"))
+        for method in ("magic", "parallel-vec"):
+            with pytest.raises(EngineError, match="unknown"):
+                service.submit(SolveRequest("mis", graph, method=method))
 
     def test_invalid_ranks_surface_without_retry(self, service, graph):
         bad = np.zeros(graph.num_vertices, dtype=np.int64)

@@ -183,22 +183,21 @@ class TestBreakerDegradation:
         assert aux["service"]["engine"] == "rootset"
         assert aux["service"]["requested_method"] == "rootset-vec"
 
-    def test_degraded_attempt_strips_multicore_knobs(self, graph):
-        """Regression: a parallel-vec request carrying engine-specific
-        knobs (workers/min_fanout/backend) must degrade cleanly — the
-        chain engines reject those keywords, so the scheduler strips
-        every knob the registry flags as unsupported for the fallback."""
+    def test_degraded_attempt_strips_prefix_knobs(self, graph):
+        """Regression: a prefix request carrying engine-specific knobs
+        (prefix_size) must degrade cleanly — the chain engines reject
+        those keywords, so the scheduler strips every knob the registry
+        flags as unsupported for the fallback."""
         with SolverService(workers=1, breaker_threshold=2,
                            breaker_reset_seconds=60.0, tick=0.005) as svc:
-            b = svc.breaker("mis", "parallel-vec")
+            b = svc.breaker("mis", "prefix")
             b.record_failure()
             b.record_failure()
             assert b.state == "open"
             res = svc.solve(
                 SolveRequest(
-                    "mis", graph, method="parallel-vec",
-                    options={"seed": 11, "workers": 2, "min_fanout": 0,
-                             "backend": "numpy"},
+                    "mis", graph, method="prefix",
+                    options={"seed": 11, "prefix_size": 16},
                 ),
                 timeout=60,
             )
@@ -206,8 +205,8 @@ class TestBreakerDegradation:
         assert np.array_equal(res.status, ref.status)
         aux = res.stats.aux
         assert aux["degraded"] is True
-        assert aux["service"]["requested_method"] == "parallel-vec"
-        assert aux["service"]["engine"] != "parallel-vec"
+        assert aux["service"]["requested_method"] == "prefix"
+        assert aux["service"]["engine"] != "prefix"
         # One attempt was enough: the stripped knobs never poisoned it.
         assert aux["service"]["retries"] == 0
 

@@ -141,8 +141,10 @@ def test_timeout_precedence_body_over_override_over_default():
     ({"problem": "mis", "graph": {"edges": []}}, "malformed inline graph"),
     ({"problem": "mis", "graph": "favorite"}, "not resolvable"),
     ({"graph": {"n": 3, "edges": []}, "ranks": "abc"}, "ranks"),
+    ({"graph": {"n": 3, "edges": []}, "options": {"workers": 2}},
+     "unknown SolveOptions fields"),
 ], ids=["non-object", "unknown-field", "bad-problem", "no-graph",
-        "no-n", "unresolved-name", "bad-ranks"])
+        "no-n", "unresolved-name", "bad-ranks", "unknown-option"])
 def test_malformed_objects_raise_value_error(obj, fragment):
     with pytest.raises(ValueError, match=fragment):
         schema.decode_solve(obj)

@@ -81,7 +81,7 @@ class TestServiceLifecycle:
         maintainer = IncrementalMatching.from_state(snap["state"])
         ref = maximal_matching(
             maintainer.edge_list(), maintainer.current_ranks(),
-            method="parallel-vec",
+            method="rootset-vec",
         )
         result = svc.session_result(info.session_id)
         assert np.array_equal(result.status, ref.status)
@@ -340,6 +340,11 @@ class TestHTTPSessions:
             {"problem": "mis", "graph": "g", "options": {"bogus": 1}},
         )
         assert status == 400 and "bogus" in err["message"]
+        status, _, err = request_json(
+            addr, "POST", "/v1/sessions",
+            {"problem": "mis", "graph": "g", "options": {"workers": 2}},
+        )
+        assert status == 400 and "workers" in err["message"]
         # A non-dict options value is a 400, not an AttributeError 500.
         status, _, err = request_json(
             addr, "POST", "/v1/sessions",

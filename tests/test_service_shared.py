@@ -16,7 +16,7 @@ from repro.core.orderings import random_priorities
 from repro.graphs.generators import uniform_random_graph
 from repro.service import ServiceConfig, SolveRequest, SolverService
 
-pytestmark = [pytest.mark.service, pytest.mark.multicore]
+pytestmark = pytest.mark.service
 
 
 def _segments():
@@ -124,40 +124,10 @@ class TestRegistration:
             svc.shutdown()
 
 
-class TestParallelEngineThroughService:
-    def test_parallel_vec_on_shared_graph(self, graph, ranks):
-        svc = SolverService(ServiceConfig(workers=1)).start()
-        try:
-            svc.register_graph(graph, ranks)
-            base = _mis(svc, graph, ranks, method="rootset-vec")
-            par = _mis(
-                svc, graph, ranks, method="parallel-vec",
-                options={"workers": 2, "min_fanout": 0},
-            )
-            np.testing.assert_array_equal(base.status, par.status)
-            assert "degraded" not in par.stats.aux
-            assert par.stats.aux["parallel"]["fanout_steps"] > 0
-        finally:
-            svc.shutdown()
-
-    def test_bad_knob_surfaces_immediately(self, graph, ranks):
-        # A bad engine knob is a caller error (EngineError is in the
-        # non-retryable set): it must fail fast, not burn retries.
-        from repro.errors import EngineError
-
-        svc = SolverService(ServiceConfig(workers=1, max_retries=3)).start()
-        try:
-            with pytest.raises(EngineError, match="workers must be >= 1"):
-                _mis(
-                    svc, graph, ranks, method="parallel-vec",
-                    options={"workers": -1},
-                )
-        finally:
-            svc.shutdown()
-
-    def test_degraded_attempt_drops_parallel_knobs(self, graph, ranks):
+class TestFallbackJobs:
+    def test_degraded_attempt_drops_prefix_knobs(self, graph, ranks):
         # Unit-level: a job built for a fallback engine must not carry the
-        # requested engine's parallel knobs — the chain engines reject
+        # requested engine's prefix knobs — the chain engines reject
         # them at the validation boundary, which would poison every retry.
         import time
 
@@ -166,15 +136,14 @@ class TestParallelEngineThroughService:
         svc = SolverService(ServiceConfig(workers=1))
         req = SolveRequest(
             problem="mis", payload=graph, ranks=ranks,
-            method="parallel-vec",
-            options={"workers": 2, "min_fanout": 0, "seed": 3},
+            method="prefix",
+            options={"prefix_size": 16, "seed": 3},
         )
         ticket = _Ticket(1, req, time.monotonic())
-        primary = svc._build_job(ticket, "parallel-vec", time.monotonic())
-        assert primary["options"]["workers"] == 2
+        primary = svc._build_job(ticket, "prefix", time.monotonic())
+        assert primary["options"]["prefix_size"] == 16
         degraded = svc._build_job(ticket, "rootset-vec", time.monotonic())
-        assert "workers" not in degraded["options"]
-        assert "min_fanout" not in degraded["options"]
+        assert "prefix_size" not in degraded["options"]
         assert degraded["options"]["seed"] == 3  # generic knobs survive
 
 
@@ -204,22 +173,5 @@ class TestWallTimeAccounting:
             assert service_aux["wall_time_s"] > 0
             # One request, one wall-time figure — retries don't stack it.
             assert isinstance(service_aux["wall_time_s"], float)
-        finally:
-            svc.shutdown()
-
-    def test_fanout_busy_not_folded_into_wall_time(self, graph, ranks):
-        svc = SolverService(ServiceConfig(workers=1)).start()
-        try:
-            res = _mis(
-                svc, graph, ranks, method="parallel-vec",
-                options={"workers": 2, "min_fanout": 0},
-            )
-            wall = res.stats.aux["service"]["wall_time_s"]
-            par = res.stats.aux["parallel"]
-            # Per-shard busy seconds live in their own channel; the
-            # service figure is submission-to-completion, so it can never
-            # be the sum of a fan-out's per-worker busy times.
-            assert len(par["worker_busy_s"]) == 2
-            assert wall > 0
         finally:
             svc.shutdown()
