@@ -1,8 +1,8 @@
-"""Resilience layer: supervision, leak reaping, backpressure, chaos.
+"""Resilience layer: supervision, leak reaping, health, chaos.
 
 Shared-memory segments and a subprocess worker pool are each a new
 way to fail *partially*: a killed owner leaks its segment until reboot,
-a wedged worker stalls its queue slot, a burst of traffic overwhelms a
+a wedged worker stalls its queue slot, a burst of traffic fills the
 fixed admission bound.  This package supervises the whole stack:
 
 ========================  ==================================================
@@ -17,10 +17,6 @@ fixed admission bound.  This package supervises the whole stack:
                                        (:mod:`repro.backends.ledger`)
 :mod:`~repro.resilience.supervisor`    background thread running periodic
                                        health probes and reap sweeps
-:mod:`~repro.resilience.backpressure`  AIMD adaptive concurrency limit and
-                                       the hedged-retry policy behind the
-                                       service's ``backpressure``/
-                                       ``hedge_delay_s`` knobs
 :mod:`~repro.resilience.chaos`         declarative :class:`ChaosScenario`
                                        records and the one runner that
                                        executes them across kernels →
@@ -33,7 +29,6 @@ below the bench/CLI layer imports it (the service reaches it only
 through lazy calls in ``health()``/``start()``).
 """
 
-from repro.resilience.backpressure import AdaptiveLimiter
 from repro.resilience.chaos import (
     SCENARIOS,
     ChaosScenario,
@@ -51,7 +46,6 @@ from repro.resilience.reaper import ReapReport, reap_orphans, segment_inventory
 from repro.resilience.supervisor import Supervisor
 
 __all__ = [
-    "AdaptiveLimiter",
     "ChaosScenario",
     "HealthReport",
     "ReapReport",

@@ -9,9 +9,10 @@ solver run (``problem="mis"``/``"matching"``) or a generic
 crash-isolated call (``problem="call"``).
 
 Everything random in the service (backoff jitter, chaos draws) is
-derived from seeds in the config via per-request, per-attempt
-``np.random.default_rng((seed, request_id, attempt))`` streams, so a
-chaos finding replays exactly regardless of completion order.
+derived from fixed seeds (``chaos_seed`` for chaos) via per-request,
+per-attempt ``np.random.default_rng((seed, request_id, attempt))``
+streams, so a chaos finding replays exactly regardless of completion
+order.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ class ServiceConfig:
     default_method:
         Engine used when a request does not name one.  The default is the
         fastest member of the degradation chain (``rootset-vec``).
-    default_guards:
-        Guard mode handed to workers when the request does not set one.
     degrade:
         Route failed/broken engines down the registry's
         ``fallback_chain()``; turning this off pins every retry to the
@@ -52,13 +51,11 @@ class ServiceConfig:
     max_retries:
         Additional attempts after the first, per request, across crash
         and engine failures.
-    backoff_base, backoff_factor, backoff_max, backoff_jitter:
+    backoff_base, backoff_max, backoff_jitter:
         Exponential backoff between attempts: attempt *k* (1-based retry)
-        sleeps ``min(backoff_max, backoff_base * backoff_factor**(k-1))``
-        scaled by a uniform ``1 ± backoff_jitter`` drawn from the seeded
-        per-request stream.
-    retry_seed, chaos_seed:
-        Seeds for the jitter and chaos streams.
+        sleeps ``min(backoff_max, backoff_base * 2**(k-1))`` scaled by a
+        uniform ``1 ± backoff_jitter`` drawn from the seeded per-request
+        stream.
     breaker_threshold, breaker_reset_seconds:
         Per-engine circuit breaker tuning (see
         :class:`~repro.service.breaker.CircuitBreaker`).
@@ -76,36 +73,13 @@ class ServiceConfig:
         Chaos: probability that a seeded kernel
         :class:`~repro.robustness.FaultSpec` is armed inside the worker
         for the attempt, and the kinds drawn from.
+    chaos_seed:
+        Seed for the per-request, per-attempt chaos streams.
     worker_sys_path:
         Extra ``sys.path`` entries prepended in workers (lets ``"call"``
         jobs import script modules).
     tick:
         Scheduler poll interval in seconds (latency floor for pickups).
-    latency_window:
-        Completed-request window for the p50/p95 stats.
-    backpressure:
-        Enable the AIMD adaptive admission limit
-        (:class:`~repro.resilience.backpressure.AdaptiveLimiter`): on top
-        of the fixed ``max_queue`` bound, outstanding work beyond the
-        adaptive limit is shed, and the limit shrinks on overload signals
-        (queue-full sheds, deadline failures, completions slower than
-        ``bp_latency_target_s``) and grows again on healthy completions.
-    bp_initial_limit:
-        Starting adaptive limit (default ``2 * workers``).
-    bp_min_limit:
-        Floor the adaptive limit never sheds below.
-    bp_latency_target_s:
-        Optional latency SLO; a completion slower than this counts as an
-        overload signal.  ``None`` disables latency-based shedding.
-    bp_decrease_factor, bp_cooldown_s:
-        Multiplicative-decrease factor and the minimum spacing between
-        applied decreases.
-    hedge_delay_s:
-        Enable hedged requests: when a solver request has been in flight
-        this long and an idle worker is available, a duplicate attempt is
-        dispatched and the first reply wins (the loser is dropped).  Only
-        idempotent solver problems hedge — never ``"call"``.  ``None``
-        (the default) disables hedging.
     cache_entries:
         Size of the content-addressed result cache
         (:class:`~repro.service.cache.ResultCache`) consulted by
@@ -137,14 +111,11 @@ class ServiceConfig:
     max_queue: int = 64
     start_method: str = "fork"
     default_method: str = "rootset-vec"
-    default_guards: Optional[str] = None
     degrade: bool = True
     max_retries: int = 2
     backoff_base: float = 0.02
-    backoff_factor: float = 2.0
     backoff_max: float = 0.5
     backoff_jitter: float = 0.25
-    retry_seed: int = 0
     breaker_threshold: int = 3
     breaker_reset_seconds: float = 5.0
     deadline_grace: float = 0.5
@@ -156,14 +127,6 @@ class ServiceConfig:
     chaos_seed: int = 0
     worker_sys_path: Tuple[str, ...] = ()
     tick: float = 0.02
-    latency_window: int = 512
-    backpressure: bool = False
-    bp_initial_limit: Optional[int] = None
-    bp_min_limit: int = 1
-    bp_latency_target_s: Optional[float] = None
-    bp_decrease_factor: float = 0.5
-    bp_cooldown_s: float = 0.25
-    hedge_delay_s: Optional[float] = None
     cache_entries: int = 0
     cache_ttl_s: Optional[float] = None
     reap_on_start: bool = True
@@ -183,7 +146,7 @@ class ServiceConfig:
             )
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        for name in ("backoff_base", "backoff_factor", "backoff_max", "tick"):
+        for name in ("backoff_base", "backoff_max", "tick"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 <= self.backoff_jitter < 1.0:
@@ -210,35 +173,6 @@ class ServiceConfig:
         if self.hang_timeout is not None and not self.hang_timeout > 0:
             raise ValueError(
                 f"hang_timeout must be positive, got {self.hang_timeout}"
-            )
-        if self.bp_min_limit < 1:
-            raise ValueError(
-                f"bp_min_limit must be >= 1, got {self.bp_min_limit}"
-            )
-        if self.bp_initial_limit is not None and self.bp_initial_limit < 1:
-            raise ValueError(
-                f"bp_initial_limit must be >= 1, got {self.bp_initial_limit}"
-            )
-        if not 0.0 < self.bp_decrease_factor < 1.0:
-            raise ValueError(
-                f"bp_decrease_factor must be in (0, 1), "
-                f"got {self.bp_decrease_factor}"
-            )
-        if self.bp_cooldown_s < 0:
-            raise ValueError(
-                f"bp_cooldown_s must be >= 0, got {self.bp_cooldown_s}"
-            )
-        if (
-            self.bp_latency_target_s is not None
-            and not self.bp_latency_target_s > 0
-        ):
-            raise ValueError(
-                f"bp_latency_target_s must be positive, "
-                f"got {self.bp_latency_target_s}"
-            )
-        if self.hedge_delay_s is not None and not self.hedge_delay_s >= 0:
-            raise ValueError(
-                f"hedge_delay_s must be >= 0, got {self.hedge_delay_s}"
             )
         if self.cache_entries < 0:
             raise ValueError(
@@ -286,7 +220,7 @@ class SolveRequest:
         Engine name (default: the config's ``default_method``); must be
         registered for the problem.
     guards:
-        Guard mode override (default: config's ``default_guards``).
+        Guard mode (default ``None``: guards off).
     timeout_seconds:
         Wall-clock deadline measured from submission.  Propagated into
         the worker as ``Budget(max_seconds=remaining)`` and enforced

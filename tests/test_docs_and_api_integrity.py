@@ -249,6 +249,28 @@ class TestSessionApiIntegrity:
             f"{missing}"
         )
 
+    def test_every_service_config_field_is_in_the_field_table(self):
+        import dataclasses
+        import re
+
+        from repro.service import ServiceConfig
+
+        api_md = (SRC.parent.parent / "docs" / "api.md").read_text()
+        heading = "### `ServiceConfig` fields"
+        assert heading in api_md, f"docs/api.md lacks {heading!r}"
+        section = api_md[api_md.index(heading):]
+        section = section[:section.index("\n#", 1)]
+        documented = set(re.findall(r"^\| `(\w+)` \|", section, re.M))
+        fields = {f.name for f in dataclasses.fields(ServiceConfig)}
+        assert not fields - documented, (
+            f"ServiceConfig fields absent from the api.md field table: "
+            f"{sorted(fields - documented)}"
+        )
+        assert not documented - fields, (
+            f"api.md field table rows that are not ServiceConfig fields: "
+            f"{sorted(documented - fields)}"
+        )
+
     def test_session_manager_is_exported_and_documented(self):
         import repro.service as service
 

@@ -6,8 +6,6 @@ runs against an injectable clock, so nothing here sleeps to test
 timing.
 """
 
-import glob
-
 import pytest
 
 from repro.backends.ledger import SegmentLedger
@@ -17,22 +15,20 @@ from repro.resilience import (
     build_health_report,
     segment_inventory,
 )
+from repro.resilience.chaos import _leaked_segments, _shm_segments
 from repro.service import ServiceConfig, SolveRequest, SolverService
 from repro.graphs.generators import uniform_random_graph
 
 pytestmark = pytest.mark.service
 
 
-def _segments():
-    return set(glob.glob("/dev/shm/repro-*"))
-
-
 @pytest.fixture(autouse=True)
 def no_leaked_segments():
-    before = _segments()
+    # Segments a live foreign process owns are not this test's leaks.
+    before = _shm_segments()
     yield
-    leaked = _segments() - before
-    assert not leaked, f"leaked shared segments: {sorted(leaked)}"
+    leaked = _leaked_segments(before)
+    assert not leaked, f"leaked shared segments: {leaked}"
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +58,6 @@ class TestHealthReport:
         assert all(w.state in ("idle", "busy") for w in report.workers)
         assert sum(w.jobs_done for w in report.workers) >= 1
         assert report.max_queue == 64
-        assert report.admission_limit is None  # backpressure off
         assert report.latency_p95 > 0.0
 
     def test_as_dict_and_format_roundtrip(self, service):

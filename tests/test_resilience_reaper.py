@@ -7,7 +7,6 @@ graceful owner exit leaves nothing behind, and a forked child must
 never unlink the segment its parent still serves.
 """
 
-import glob
 import multiprocessing
 import os
 import signal
@@ -21,20 +20,18 @@ from repro.backends import SharedArrays, SharedCSR
 from repro.backends.ledger import SegmentLedger, default_ledger
 from repro.graphs.generators import uniform_random_graph
 from repro.resilience import reap_orphans, segment_inventory
+from repro.resilience.chaos import _leaked_segments, _shm_segments
 
 pytestmark = pytest.mark.chaos
 
 
-def _segments():
-    return set(glob.glob("/dev/shm/repro-*"))
-
-
 @pytest.fixture(autouse=True)
 def no_leaked_segments():
-    before = _segments()
+    # Segments a live foreign process owns are not this test's leaks.
+    before = _shm_segments()
     yield
-    leaked = _segments() - before
-    assert not leaked, f"leaked shared segments: {sorted(leaked)}"
+    leaked = _leaked_segments(before)
+    assert not leaked, f"leaked shared segments: {leaked}"
 
 
 @pytest.fixture()

@@ -340,6 +340,7 @@ class TestConfigAndRequestValidation:
         {"kill_point": "mid"},
         {"fault_kinds": ("rank-swap",)},
         {"hang_timeout": 0.0},
+        {"supervise_interval_s": 0.0},
     ])
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.orderings import random_priorities
 from repro.graphs.generators import uniform_random_graph
+from repro.resilience.chaos import _leaked_segments, _shm_segments
 from repro.service import ServiceConfig, SolveRequest, SolverService
 
 pytestmark = pytest.mark.service
@@ -25,10 +26,11 @@ def _segments():
 
 @pytest.fixture(autouse=True)
 def no_leaked_segments():
-    before = _segments()
+    # Segments a live foreign process owns are not this test's leaks.
+    before = _shm_segments()
     yield
-    leaked = _segments() - before
-    assert not leaked, f"leaked shared segments: {sorted(leaked)}"
+    leaked = _leaked_segments(before)
+    assert not leaked, f"leaked shared segments: {leaked}"
 
 
 @pytest.fixture

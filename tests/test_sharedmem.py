@@ -5,8 +5,6 @@ Lifecycle, fingerprinting, and leak-freedom of :class:`SharedArrays` /
 ``repro-*`` segment once the owning handle is closed and unlinked.
 """
 
-import glob
-
 import numpy as np
 import pytest
 
@@ -15,18 +13,16 @@ from repro.core.orderings import random_priorities
 from repro.errors import GraphFormatError
 from repro.graphs.csr import CSRGraph, EdgeList
 from repro.graphs.generators import cycle_graph, uniform_random_graph
-
-
-def _segments():
-    return glob.glob("/dev/shm/repro-*")
+from repro.resilience.chaos import _leaked_segments, _shm_segments
 
 
 @pytest.fixture(autouse=True)
 def no_leaked_segments():
-    before = set(_segments())
+    # Segments a live foreign process owns are not this test's leaks.
+    before = _shm_segments()
     yield
-    leaked = set(_segments()) - before
-    assert not leaked, f"leaked shared segments: {sorted(leaked)}"
+    leaked = _leaked_segments(before)
+    assert not leaked, f"leaked shared segments: {leaked}"
 
 
 class TestSharedArrays:
