@@ -456,6 +456,8 @@ class IncrementalMatching:
             self._incident[a].add(key)
             self._incident[b].add(key)
         self.counters = _DynamicCounters()
+        #: Matched-edge count, kept up to date by every flip.
+        self.num_matched = 0
         self._peel(list(self._edges))
 
     # -- ordering --------------------------------------------------------
@@ -490,6 +492,7 @@ class IncrementalMatching:
             self._incident[b].discard(key)
             del self._edges[key]
             if matched:
+                self.num_matched -= 1
                 # Only later-ordered adjacent edges can change: earlier
                 # ones never depended on this edge.
                 for nbr in self._incident[a] | self._incident[b]:
@@ -541,6 +544,7 @@ class IncrementalMatching:
             if rec[1] == new:
                 continue
             rec[1] = new
+            self.num_matched += 1 if new else -1
             flipped += 1
             for nbr in self._incident[a] | self._incident[b]:
                 if nbr == key:
@@ -661,11 +665,13 @@ class IncrementalMatching:
         obj.seed = int(state.get("seed", 0))
         obj._edges = {}
         obj._incident = [set() for _ in range(n)]
+        obj.num_matched = 0
         for a, b, prio, matched in state["edges"]:
             key = _canon_pair(a, b, n, "state")
             if key in obj._edges:
                 raise InvalidGraphError(f"duplicate edge {key} in session state")
             obj._edges[key] = [int(prio), bool(matched)]
+            obj.num_matched += bool(matched)
             obj._incident[key[0]].add(key)
             obj._incident[key[1]].add(key)
         obj.counters = _DynamicCounters()

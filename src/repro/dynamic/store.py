@@ -1,27 +1,24 @@
-"""Durable session snapshots: atomic, checksummed JSON files, one per session.
+"""Durable sessions: a checksummed base snapshot plus an append-only batch log.
 
-The service keeps the authoritative session state in memory and commits
-a new state after every successful mutation; this store persists those
-states so sessions survive full process restarts, not just worker
-respawns.  Writes follow the same temp-file + ``os.replace`` discipline
-as the bench checkpoint machinery: a crash mid-write leaves the previous
-snapshot intact, never a torn file.
+Per session the store directory holds ``<id>.json``, the **base
+snapshot** in a ``{"format": 1, "sha256": …, "snapshot": …}`` envelope
+written via temp file + ``os.replace`` (a crash mid-write leaves the
+previous base intact), and ``<id>.log``, one ``<sha256> <record>\\n``
+line per mutation committed since the base, appended and fsynced before
+the mutation is acknowledged — O(batch) bytes per mutation, not
+O(graph).  Compaction writes a new base before it truncates the log,
+and :meth:`SnapshotStore.load_log` skips records at or below the base
+version, so a crash between the two replays nothing twice.
 
-Two durability hazards remain even with atomic replacement, and both
-are handled here rather than left to callers:
-
-* **Stray temp files** — a process killed between ``mkstemp`` and
-  ``os.replace`` leaks its temp file.  The store sweeps ``*.tmp``
-  debris on construction (:attr:`SnapshotStore.tmp_swept`), and the
-  resilience reaper reports the same sweep on its timer.
-* **Corruption** — every snapshot is wrapped in an envelope carrying a
-  SHA-256 of its canonical JSON encoding.  A load that fails to parse
-  or fails the checksum renames the file to a ``.corrupt`` quarantine
-  and raises the typed
-  :class:`~repro.errors.SnapshotCorruptError` — never a raw
-  ``json.JSONDecodeError`` — so the exit-code/status taxonomy holds,
-  retries cannot re-read the poison, and ``repro recover`` can inspect
-  what was quarantined.
+Hazards handled here: stray ``*.tmp`` files of writers killed before
+``os.replace`` are swept on construction
+(:attr:`SnapshotStore.tmp_swept`); a snapshot that fails to parse or
+its SHA-256, or a complete log line that fails its own, is renamed
+``.corrupt`` and raises the typed
+:class:`~repro.errors.SnapshotCorruptError`, so retries cannot re-read
+the poison and ``repro recover`` can inspect it; a final log line
+without its newline is a write cut short by a crash — never
+acknowledged, since the reply follows the fsync — and is dropped.
 """
 
 from __future__ import annotations
@@ -30,33 +27,26 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.errors import ReproError, SnapshotCorruptError
 
-__all__ = ["SnapshotStore", "snapshot_checksum"]
+__all__ = ["SnapshotStore", "canonical_json"]
 
 PathLike = Union[str, os.PathLike]
 
 
-def snapshot_checksum(snapshot: Dict[str, object]) -> str:
-    """SHA-256 over the canonical JSON encoding of *snapshot*.
-
-    Canonical means sorted keys and compact separators — exactly the
-    bytes :meth:`SnapshotStore.save` writes — so the digest is a pure
-    function of content, not of dict ordering.
-    """
-    body = json.dumps(snapshot, separators=(",", ":"), sort_keys=True)
-    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+def canonical_json(obj: Any) -> bytes:
+    """Sorted-key, compact JSON bytes: the one encoding the store writes
+    and hashes, so a digest is a pure function of content."""
+    return json.dumps(obj, separators=(",", ":"), sort_keys=True).encode("utf-8")
 
 
 class SnapshotStore:
-    """Directory of ``<session_id>.json`` snapshot files.
+    """Directory of ``<session_id>.json`` base snapshots and ``.log`` logs.
 
     Session ids are restricted to ``[A-Za-z0-9_.-]`` so an id can never
-    escape the store directory.  On disk each file is an envelope
-    ``{"format": 1, "sha256": …, "snapshot": …}``; :meth:`load` verifies
-    the digest before handing the payload back.
+    escape the store directory.
     """
 
     def __init__(self, root: PathLike) -> None:
@@ -64,7 +54,7 @@ class SnapshotStore:
         os.makedirs(self.root, exist_ok=True)
         #: ``*.tmp`` files left by writers killed mid-save, removed now.
         self.tmp_swept = self._sweep_tmp()
-        #: Snapshots this instance quarantined (renamed ``.corrupt``).
+        #: Files this instance quarantined (renamed ``.corrupt``).
         self.quarantined = 0
 
     def _sweep_tmp(self) -> int:
@@ -82,25 +72,26 @@ class SnapshotStore:
                     pass
         return swept
 
-    def _path(self, session_id: str) -> str:
+    def _path(self, session_id: str, suffix: str = ".json") -> str:
         if not session_id or not all(
             c.isalnum() or c in "_.-" for c in session_id
         ):
             raise ReproError(f"invalid session id {session_id!r}")
-        return os.path.join(self.root, f"{session_id}.json")
+        return os.path.join(self.root, f"{session_id}{suffix}")
 
-    def save(self, session_id: str, snapshot: Dict[str, object]) -> str:
-        """Atomically persist *snapshot*; returns the file path."""
+    def save(self, session_id: str, snapshot: Union[Dict[str, object], bytes]) -> str:
+        """Atomically persist *snapshot* — a dict or its
+        :func:`canonical_json` bytes, encoded once, hashed and written
+        — and return the file path."""
         path = self._path(session_id)
-        envelope = {
-            "format": 1,
-            "sha256": snapshot_checksum(snapshot),
-            "snapshot": snapshot,
-        }
+        body = snapshot if isinstance(snapshot, bytes) else canonical_json(snapshot)
+        digest = hashlib.sha256(body).hexdigest().encode("ascii")
+        # Byte for byte the canonical encoding of the envelope dict.
+        data = b'{"format":1,"sha256":"' + digest + b'","snapshot":' + body + b"}"
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(envelope, fh, separators=(",", ":"), sort_keys=True)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
@@ -119,12 +110,13 @@ class SnapshotStore:
             where = f"; quarantined as {os.path.basename(target)!r}"
         except OSError:  # pragma: no cover - raced / read-only dir
             where = "; quarantine rename failed"
+        kind = "log" if path.endswith(".log") else "snapshot"
         return SnapshotCorruptError(
-            f"corrupt session snapshot {path!r}: {why}{where}"
+            f"corrupt session {kind} {path!r}: {why}{where}"
         )
 
     def load(self, session_id: str) -> Optional[Dict[str, object]]:
-        """Read a snapshot back, or ``None`` if absent.
+        """Read a base snapshot back, or ``None`` if absent.
 
         A file that fails to parse or fails its embedded checksum is
         renamed to ``<file>.corrupt`` and raises
@@ -151,7 +143,7 @@ class SnapshotStore:
         ):
             raise self._quarantine(path, "missing checksum envelope")
         snapshot = envelope["snapshot"]
-        digest = snapshot_checksum(snapshot)
+        digest = hashlib.sha256(canonical_json(snapshot)).hexdigest()
         if digest != envelope["sha256"]:
             raise self._quarantine(
                 path,
@@ -160,8 +152,63 @@ class SnapshotStore:
             )
         return snapshot
 
+    def append_log(self, session_id: str, record: Dict[str, object]) -> int:
+        """Append one checksummed record to the log and fsync it.
+
+        Returns the bytes appended.  A failed write is cut back off, so
+        the next append never follows a partial line.
+        """
+        body = canonical_json(record)
+        line = hashlib.sha256(body).hexdigest().encode("ascii") + b" " + body + b"\n"
+        with open(self._path(session_id, ".log"), "ab", buffering=0) as fh:
+            start = fh.tell()
+            try:
+                fh.write(line)
+                os.fsync(fh.fileno())
+            except BaseException:
+                fh.truncate(start)
+                raise
+        return len(line)
+
+    def load_log(self, session_id: str, after: int) -> List[Dict[str, Any]]:
+        """Log records with ``version > after`` (the rest are already in
+        the base), oldest first.  A torn final line is dropped; a line
+        failing its checksum, or out of version order, quarantines the
+        log with :class:`~repro.errors.SnapshotCorruptError`."""
+        path = self._path(session_id, ".log")
+        try:
+            with open(path, "rb") as fh:
+                lines = fh.read().split(b"\n")
+        except FileNotFoundError:
+            return []
+        lines.pop()  # b"" after the last newline, or the torn tail
+        records: List[Dict[str, Any]] = []
+        for i, line in enumerate(lines, 1):
+            digest, _, body = line.partition(b" ")
+            if hashlib.sha256(body).hexdigest().encode("ascii") != digest:
+                raise self._quarantine(path, f"record {i} fails its checksum")
+            record = json.loads(body)
+            version = record["version"]
+            if version <= after:
+                continue
+            if version != after + len(records) + 1:
+                raise self._quarantine(
+                    path, f"record {i} has version {version}, expected "
+                    f"{after + len(records) + 1}",
+                )
+            records.append(record)
+        return records
+
+    def truncate_log(self, session_id: str) -> None:
+        """Empty the log, once a new base snapshot holds its records."""
+        try:
+            os.unlink(self._path(session_id, ".log"))
+        except FileNotFoundError:
+            pass
+
     def delete(self, session_id: str) -> bool:
-        """Remove a snapshot; ``True`` if one existed."""
+        """Remove a snapshot and its log; ``True`` if a snapshot existed."""
+        self.truncate_log(session_id)
         try:
             os.unlink(self._path(session_id))
             return True
@@ -170,14 +217,11 @@ class SnapshotStore:
 
     def list_ids(self) -> List[str]:
         """Session ids with a persisted snapshot (sorted)."""
-        out = []
-        for name in os.listdir(self.root):
-            if name.endswith(".json"):
-                out.append(name[: -len(".json")])
-        return sorted(out)
+        return sorted(n[: -len(".json")] for n in os.listdir(self.root)
+                      if n.endswith(".json"))
 
     def corrupt_files(self) -> List[str]:
-        """Quarantined snapshot filenames in the store (sorted)."""
+        """Quarantined snapshot and log filenames in the store (sorted)."""
         try:
             names = os.listdir(self.root)
         except OSError:  # pragma: no cover - root vanished
@@ -185,13 +229,8 @@ class SnapshotStore:
         return sorted(n for n in names if n.endswith(".corrupt"))
 
     def sweep_corrupt(self) -> List[str]:
-        """Delete quarantined files; returns the names removed.
-
-        Quarantine is held for inspection by default — the reaper only
-        *reports* counts unless its sweep runs with purging enabled.
-        ``repro recover`` lists the files and performs this sweep with
-        ``--purge``.
-        """
+        """Delete quarantined files (``repro recover --purge``, or a reap
+        sweep with purging enabled); returns the names removed."""
         removed = []
         for name in self.corrupt_files():
             try:

@@ -174,7 +174,8 @@ class HealthReport:
                 f"sessions:        {d.get('live_sessions', 0)} live, "
                 f"{d.get('mutations_applied', 0)} mutations applied, "
                 f"{d.get('idempotent_replays', 0)} idempotent replays, "
-                f"{d.get('version_conflicts', 0)} version conflicts"
+                f"{d.get('version_conflicts', 0)} version conflicts, "
+                f"{d.get('session_replays', 0)} worker replays"
             )
             quarantined = (
                 d.get("quarantined_snapshots", 0)
@@ -201,6 +202,7 @@ def _durability_counters(service, ledger: Optional[SegmentLedger]) -> Dict[str, 
         "mutations_applied": 0,
         "idempotent_replays": 0,
         "version_conflicts": 0,
+        "session_replays": 0,
         "quarantined_snapshots": 0,
         "quarantined_ledger_records": 0,
         "snapshot_tmp_swept": 0,

@@ -99,9 +99,10 @@ class ServiceConfig:
     reap_interval_s:
         Minimum spacing between the supervisor's reap sweeps.
     session_dir:
-        Directory for durable session snapshots
+        Directory for durable sessions — base snapshots plus batch logs
         (:class:`~repro.dynamic.store.SnapshotStore`).  When set, every
-        committed session version is persisted atomically and sessions
+        committed session version is persisted (one fsynced log record
+        per mutation) and sessions
         survive full service restarts via
         :meth:`~repro.service.SolverService.restore_session`; ``None``
         (the default) keeps session state in memory only.

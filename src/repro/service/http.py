@@ -1009,6 +1009,7 @@ class HTTPGateway:
             "mutations_applied": 0,
             "idempotent_replays": 0,
             "version_conflicts": 0,
+            "session_replays": 0,
             "quarantined_snapshots": 0,
         }
         manager = getattr(self.service, "_session_manager", None)

@@ -559,8 +559,9 @@ class SolverService:
     def create_session(self, problem, payload, ranks=None, **kwargs):
         """Start a stateful incremental session (initial solve = v0).
 
-        Mutations replay inside crash-isolated workers from the
-        parent-held committed state; see :mod:`repro.service.sessions`.
+        Mutations run in crash-isolated workers on a warm maintainer;
+        the parent keeps a base snapshot plus the batch log to replay
+        into any worker without it; see :mod:`repro.service.sessions`.
         """
         return self.sessions.create(problem, payload, ranks, **kwargs)
 

@@ -1,60 +1,42 @@
 """Stateful graph sessions on top of the crash-isolated service.
 
 A *session* is a long-lived incremental MIS/matching maintainer
-(:mod:`repro.dynamic.incremental`) served through the
-:class:`~repro.service.SolverService` worker pool.  The parent holds the
-**committed state** — the JSON-safe ``to_state()`` snapshot of the last
-successful version — and runs every state transition inside a worker via
-the generic ``"call"`` job kind pointing at
-:mod:`repro.dynamic.jobs`.  That split is what makes sessions survive
-worker crashes:
+(:mod:`repro.dynamic.incremental`) run in the
+:class:`~repro.service.SolverService` worker pool through ``"call"``
+jobs into :mod:`repro.dynamic.jobs`.  The maintainers are
+deterministic, so a session is fully described by a **base snapshot**
+plus the **log** of edge batches applied since; that is all the parent
+keeps, the base only as the encoded bytes it persisted.
 
-1. A mutation ships ``(committed state, batch)`` to a worker, which
-   replays the maintainer and applies the batch.
-2. The parent commits the returned state **only on success** and bumps
-   the version.
-3. A worker killed mid-mutation (chaos, OOM, hang) is simply retried by
-   the service's normal retry machinery with the *same* committed
-   input; the maintainers are deterministic, so the replayed attempt
-   reproduces the bit-identical result.  Half-applied state can never
-   be observed because it never leaves the dead worker.
+A mutation ships ``(epoch, version, batch)``; the worker applies it to
+the maintainer it caches for that version and replies with a summary.
+A worker without it (respawned after a kill, or another idle worker)
+answers ``{"miss": True}`` and the parent re-sends with the base and the
+log to replay (``session_replays``).  The version advances only after
+success and, with a :class:`~repro.dynamic.store.SnapshotStore`, after
+one fsynced, checksummed record is appended to the log, so a crashed
+attempt is retried from the same committed version and sessions survive
+full restarts (:meth:`SessionManager.restore`).  Every
+:data:`COMPACT_EVERY` batches, and on :meth:`SessionManager.snapshot`,
+the worker encodes a new base and the log is truncated.  Reads are
+served by the worker the same way.
 
-Queries (:meth:`SessionManager.result`) are read-only reconstructions
-from the committed state and run in-parent — they cannot corrupt
-anything and need no isolation.
-
-With a :class:`~repro.dynamic.store.SnapshotStore` attached, every
-committed version is also persisted atomically, so sessions additionally
-survive full service restarts via :meth:`SessionManager.restore`.
-
-Worker-crash retries are safe because the *service* retries from the
-same committed input — but a **client** retry after an ambiguous outcome
-(the response was lost after the commit landed) would re-apply the
-batch.  Two per-mutation knobs close that gap:
-
-* ``mutation_id`` — a client-chosen idempotency key.  Each record keeps
-  a bounded, snapshot-persisted window of applied ids
-  (:data:`DEDUP_WINDOW`); a duplicate replays the *recorded outcome*
-  (summary + version) without touching a worker, so retrying until a
-  definite answer arrives is exactly-once.
-* ``if_version`` — a compare-and-swap precondition.  If the committed
-  version has moved, the mutation fails with the typed
-  :class:`~repro.errors.VersionConflictError` (HTTP ``409``), turning
-  lost-update races between concurrent clients into detectable errors.
-
-The front doors are :class:`~repro.service.SolverService`'s delegating
-methods (``create_session`` …), the gateway's ``/v1/sessions`` routes,
-and the ``repro session`` CLI subcommand.
+A **client** retry after an ambiguous outcome (the response was lost
+after the commit) is closed by two per-mutation knobs: ``mutation_id``,
+an idempotency key whose recorded outcome a duplicate replays without
+touching a worker (a :data:`DEDUP_WINDOW` kept in the base and the log
+records), and ``if_version``, a compare-and-swap precondition that
+fails with :class:`~repro.errors.VersionConflictError` (HTTP ``409``).
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
+import json
 import threading
 import uuid
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,28 +44,27 @@ import numpy as np
 from repro.core.options import SolveOptions, resolve_options
 from repro.errors import (
     InvalidGraphError,
+    ReproError,
     UnknownSessionError,
     VersionConflictError,
 )
 from repro.service.config import SolveRequest
 
-__all__ = ["DEDUP_WINDOW", "SessionInfo", "SessionManager"]
+__all__ = ["COMPACT_EVERY", "DEDUP_WINDOW", "SessionInfo", "SessionManager"]
 
 _PROBLEMS = ("mis", "matching")
 
 #: Applied mutation ids remembered per session for idempotent replay.
-#: Bounds both memory and snapshot size; a client retrying one ambiguous
-#: mutation needs a window of exactly 1, so 128 leaves two orders of
-#: magnitude of slack for pipelined writers before an evicted id could
-#: make a very late duplicate re-apply.
+#: A client retrying one ambiguous mutation needs a window of 1; 128
+#: leaves slack for pipelined writers.
 DEDUP_WINDOW = 128
 
-#: Registry placeholder: the id is claimed by an in-flight create/restore
-#: whose initial worker call has not committed yet.  Holding the slot
-#: under the registry lock closes the check-then-commit race where two
-#: concurrent create() calls with the same explicit id both pass the
-#: duplicate check and the later commit silently overwrites the earlier
-#: session.
+#: Logged batches folded into a new base snapshot at a time; bounds a
+#: cache-miss replay and the log file.
+COMPACT_EVERY = 64
+
+#: Registry placeholder for an id whose create/restore is in flight, so
+#: two concurrent creates with one explicit id cannot both commit.
 _RESERVED = object()
 
 
@@ -114,43 +95,37 @@ class SessionInfo:
     dynamic: Dict[str, Any]
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "session_id": self.session_id,
-            "problem": self.problem,
-            "version": self.version,
-            "n": self.n,
-            "m": self.m,
-            "size": self.size,
-            "dynamic": self.dynamic,
-        }
+        return asdict(self)
 
 
 @dataclass
 class _SessionRecord:
-    """Parent-side committed state of one session."""
+    """Parent-side committed form of one session: base plus log."""
 
     session_id: str
     problem: str
-    state: Dict[str, Any]
     version: int
-    n: int
-    m: int
-    size: int
     guards: Optional[str]
-    dynamic: Dict[str, Any]
-    #: Opaque timeline token, minted fresh on every create/restore and
-    #: shipped with mutations so the worker-side warm-maintainer cache
-    #: (:mod:`repro.dynamic.jobs`) can never serve a maintainer from an
-    #: abandoned timeline (closed-and-recreated id, older snapshot).
-    epoch: str = ""
+    n: int = 0
+    m: int = 0
+    size: int = 0
+    dynamic: Dict[str, Any] = field(default_factory=dict)
+    #: The base snapshot's canonical JSON bytes, exactly as persisted.
+    base: bytes = b""
+    #: ``(insertions, deletions)`` committed since ``base``, oldest first.
+    batches: List[Tuple[list, list]] = field(default_factory=list)
     #: mutation_id → recorded outcome, oldest first; bounded by
-    #: :data:`DEDUP_WINDOW` and persisted with every snapshot so
-    #: exactly-once survives full restarts, not just worker respawns.
+    #: :data:`DEDUP_WINDOW` and persisted in the base snapshot and the
+    #: log records, so exactly-once survives full restarts.
     applied: "OrderedDict[str, Dict[str, Any]]" = field(
         default_factory=OrderedDict
     )
+    #: Opaque timeline token keying the worker-side maintainer cache
+    #: (:mod:`repro.dynamic.jobs`): fresh per record (create/restore),
+    #: and re-minted whenever a worker may hold an uncommitted version.
+    epoch: str = field(default_factory=lambda: uuid.uuid4().hex)
     lock: threading.Lock = field(default_factory=threading.Lock)
-    # (version, result) — queries rebuild from committed state lazily.
+    # (version, result) of the last read.
     _result_cache: Optional[Tuple[int, Any]] = None
 
     def info(self) -> SessionInfo:
@@ -158,6 +133,17 @@ class _SessionRecord:
             self.session_id, self.problem, self.version,
             self.n, self.m, self.size, dict(self.dynamic),
         )
+
+    def meta(self) -> Dict[str, Any]:
+        """Every snapshot field except the maintainer's ``state``."""
+        return {
+            "session_id": self.session_id,
+            "problem": self.problem,
+            "version": self.version,
+            "guards": self.guards,
+            "dynamic": self.dynamic,
+            "applied": [[mid, out] for mid, out in self.applied.items()],
+        }
 
 
 class SessionManager:
@@ -180,6 +166,7 @@ class SessionManager:
         self.mutations_applied = 0
         self.idempotent_replays = 0
         self.version_conflicts = 0
+        self.session_replays = 0
 
     # -- helpers -----------------------------------------------------------
 
@@ -194,100 +181,68 @@ class SessionManager:
             )
         return record
 
-    def _call(
-        self,
-        func: str,
-        kwargs: Dict[str, Any],
-        timeout_s: Optional[float],
-    ) -> Dict[str, Any]:
-        request = SolveRequest(
-            "call",
-            {
-                "module": "repro.dynamic.jobs",
-                "func": func,
-                "kwargs": kwargs,
-            },
+    def _call(self, func: str, kwargs: Dict[str, Any], timeout_s: Optional[float]) -> Any:
+        return self._service.solve(SolveRequest(
+            "call", {"module": "repro.dynamic.jobs", "func": func, "kwargs": kwargs},
             timeout_seconds=timeout_s,
-        )
-        return self._service.solve(request)
+        ))
 
-    def _persist(self, record: _SessionRecord) -> None:
-        if self._store is None:
-            return
-        self._store.save(record.session_id, {
-            "session_id": record.session_id,
-            "problem": record.problem,
-            "version": record.version,
-            "guards": record.guards,
-            "state": record.state,
-            "dynamic": record.dynamic,
-            "applied": [[mid, out] for mid, out in record.applied.items()],
-        })
+    def _warm_call(self, record: _SessionRecord, func: str,
+                   kwargs: Dict[str, Any], timeout_s: Optional[float]) -> Any:
+        """Run *func* on the worker's maintainer for the committed
+        version; on a miss, re-send with the base and log to replay."""
+        kwargs = dict(kwargs, epoch=record.epoch, version=record.version)
+        reply = self._call(func, kwargs, timeout_s)
+        if isinstance(reply, dict) and reply.get("miss"):
+            with self._lock:
+                self.session_replays += 1
+            reply = self._call(
+                func, dict(kwargs, base=record.base, batches=record.batches),
+                timeout_s,
+            )
+        return reply
 
-    @staticmethod
-    def _applied_window(raw: Any) -> "OrderedDict[str, Dict[str, Any]]":
-        """Rebuild a dedup window from its snapshot form (list of pairs)."""
-        window: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-        if isinstance(raw, list):
-            for item in raw:
-                if (
-                    isinstance(item, (list, tuple)) and len(item) == 2
-                    and isinstance(item[0], str) and isinstance(item[1], dict)
-                ):
-                    window[item[0]] = item[1]
-        while len(window) > DEDUP_WINDOW:
-            window.popitem(last=False)
-        return window
+    def _rebase(self, record: _SessionRecord, body: bytes) -> None:
+        """Make *body* the base: write it, then drop the log it folds in."""
+        if self._store is not None:
+            self._store.save(record.session_id, body)
+            self._store.truncate_log(record.session_id)
+        record.base, record.batches = body, []
 
-    def _commit(
-        self,
-        session_id: str,
-        problem: str,
-        summary: Dict[str, Any],
-        version: int,
-        guards: Optional[str],
-        applied: Optional["OrderedDict[str, Dict[str, Any]]"] = None,
-    ) -> _SessionRecord:
-        record = _SessionRecord(
-            session_id=session_id,
-            problem=problem,
-            state=summary["state"],
-            version=version,
-            n=summary["n"],
-            m=summary["m"],
-            size=summary["size"],
-            guards=guards,
-            dynamic=summary["dynamic"],
-            # A commit here is always a timeline boundary (create or
-            # restore), so the epoch is always fresh.
-            epoch=uuid.uuid4().hex,
-            applied=applied if applied is not None else OrderedDict(),
-        )
-        with self._lock:
-            self._sessions[session_id] = record
-        self._persist(record)
-        return record
+    def _compact(self, record: _SessionRecord, timeout_s: Optional[float]) -> None:
+        reply = self._warm_call(record, "snapshot_session_state",
+                                {"meta": record.meta()}, timeout_s)
+        self._rebase(record, reply["snapshot"])
 
-    def _reserve(self, session_id: str, *, verb: str) -> None:
-        """Claim *session_id* in the registry before the worker call."""
+    def _open(self, record: _SessionRecord, func: str, kwargs: Dict[str, Any],
+              timeout_s: Optional[float], *, verb: str) -> SessionInfo:
+        """Create or restore: reserve the id, build the maintainer at
+        ``record.version`` in a worker, persist the first base, commit."""
+        session_id = record.session_id
         with self._lock:
             existing = self._sessions.get(session_id)
-            if isinstance(existing, _SessionRecord):
-                raise InvalidGraphError(
-                    f"session {session_id!r} already exists"
-                    + ("; close it before restoring" if verb == "restore" else "")
-                )
             if existing is _RESERVED:
-                raise InvalidGraphError(
-                    f"session {session_id!r} is already being created"
-                )
+                raise InvalidGraphError(f"session {session_id!r} is already being created")
+            if existing is not None:
+                raise InvalidGraphError(f"session {session_id!r} already exists" + (
+                    "; close it before restoring" if verb == "restore" else ""))
             self._sessions[session_id] = _RESERVED
-
-    def _release(self, session_id: str) -> None:
-        """Drop a reservation whose worker call failed."""
+        try:
+            summary = self._call(func, dict(
+                kwargs, epoch=record.epoch, version=record.version,
+                guards=record.guards, meta=record.meta(),
+            ), timeout_s)
+            record.n, record.m = summary["n"], summary["m"]
+            record.size, record.dynamic = summary["size"], summary["dynamic"]
+            self._rebase(record, summary["snapshot"])
+        except BaseException:
+            with self._lock:
+                if self._sessions.get(session_id) is _RESERVED:
+                    del self._sessions[session_id]
+            raise
         with self._lock:
-            if self._sessions.get(session_id) is _RESERVED:
-                del self._sessions[session_id]
+            self._sessions[session_id] = record
+        return record.info()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -306,12 +261,10 @@ class SessionManager:
         """Initial solve: version 0 of a new session.
 
         ``payload`` is a :class:`~repro.graphs.csr.CSRGraph` for
-        ``"mis"`` and a graph or edge list for ``"matching"`` — the same
-        shapes the stateless front doors take.  ``options`` accepts the
-        unified :class:`~repro.core.options.SolveOptions` record (its
-        ``seed``/``guards`` fields are the knobs a maintainer consumes);
-        the ``seed=``/``guards=`` keywords remain as the legacy shim and
-        may not be mixed with it.
+        ``"mis"`` and a graph or edge list for ``"matching"``.
+        ``options`` (a :class:`~repro.core.options.SolveOptions`)
+        supplies ``seed``/``guards``; the legacy keywords of the same
+        names may not be mixed with it.
         """
         resolved = resolve_options(options, {"seed": seed, "guards": guards})
         seed, guards = resolved.seed, resolved.guards
@@ -325,23 +278,11 @@ class SessionManager:
             session_id = f"s{next(self._counter)}-{uuid.uuid4().hex[:12]}"
         if ranks is not None:
             ranks = np.asarray(ranks)
-        self._reserve(session_id, verb="create")
-        try:
-            summary = self._call(
-                "create_session_state",
-                {
-                    "problem": problem,
-                    "payload": payload,
-                    "ranks": ranks,
-                    "seed": seed,
-                    "guards": guards,
-                },
-                timeout_s,
-            )
-        except BaseException:
-            self._release(session_id)
-            raise
-        return self._commit(session_id, problem, summary, 0, guards).info()
+        return self._open(
+            _SessionRecord(session_id, problem, 0, guards), "create_session_state",
+            {"problem": problem, "payload": payload, "ranks": ranks, "seed": seed},
+            timeout_s, verb="create",
+        )
 
     def mutate(
         self,
@@ -355,30 +296,21 @@ class SessionManager:
     ) -> Dict[str, Any]:
         """Apply one edge-mutation batch; returns the batch stats.
 
-        Commits the worker's returned state only on success, so a
-        crashed attempt is retried from the same committed version and
-        the session can never be observed half-mutated.
-
-        ``mutation_id`` makes the call idempotent: an id already in the
-        session's dedup window replays the recorded outcome (flagged
-        ``idempotent_replay``) without invoking a worker, so clients may
-        retry ambiguous outcomes safely.  ``if_version`` is a
-        compare-and-swap precondition against the committed version;
-        on mismatch the batch is *not* applied and
-        :class:`~repro.errors.VersionConflictError` is raised.  The
-        duplicate check runs first: a retried duplicate still carrying
-        its original ``if_version`` replays instead of conflicting.
+        The version advances only once the worker has applied the batch
+        and (with a store) its log record is on disk.  An id already in
+        the ``mutation_id`` window replays its recorded outcome (flagged
+        ``idempotent_replay``) without a worker; a mismatched
+        ``if_version`` applies nothing and raises
+        :class:`~repro.errors.VersionConflictError`.  The duplicate check
+        runs first, so a retried duplicate replays instead of conflicting.
         """
-        if mutation_id is not None:
-            if not isinstance(mutation_id, str) or not mutation_id:
-                raise InvalidGraphError(
-                    f"mutation_id must be a non-empty string, "
-                    f"got {mutation_id!r}"
-                )
-            if len(mutation_id) > 200:
-                raise InvalidGraphError(
-                    "mutation_id must be at most 200 characters"
-                )
+        if mutation_id is not None and (
+            not isinstance(mutation_id, str) or not 0 < len(mutation_id) <= 200
+        ):
+            raise InvalidGraphError(
+                f"mutation_id must be a non-empty string of at most 200 "
+                f"characters, got {mutation_id!r}"
+            )
         if if_version is not None:
             try:
                 if_version = int(if_version)
@@ -407,88 +339,83 @@ class SessionManager:
                     f"mutation requires if_version={if_version}; re-read the "
                     f"current state before deciding to retry"
                 )
-            summary = self._call(
-                "mutate_session_state",
-                {
-                    "state": record.state,
-                    "insertions": ins,
-                    "deletions": dels,
-                    "epoch": record.epoch,
-                    "version": record.version,
-                    "guards": record.guards,
-                },
+            summary = self._warm_call(
+                record, "mutate_session_state",
+                {"insertions": ins, "deletions": dels, "guards": record.guards},
                 timeout_s,
             )
-            record.state = summary["state"]
-            record.version += 1
-            record.n = summary["n"]
-            record.m = summary["m"]
-            record.size = summary["size"]
-            record.dynamic = summary["dynamic"]
-            record._result_cache = None
+            version = record.version + 1
             outcome = dict(
-                summary["dynamic"],
-                version=record.version,
-                size=record.size,
-                m=record.m,
+                summary["dynamic"], version=version,
+                size=summary["size"], m=summary["m"],
             )
+            if self._store is not None:
+                # The log record carries the outcome, so the write that
+                # makes this version durable also makes it replayable.
+                try:
+                    self._store.append_log(session_id, {
+                        "version": version, "mutation_id": mutation_id,
+                        "insertions": ins, "deletions": dels,
+                        "outcome": outcome,
+                    })
+                except BaseException:
+                    # A worker now holds a version that was never
+                    # committed; retire the timeline it is keyed under.
+                    record.epoch = uuid.uuid4().hex
+                    raise
+            record.version = version
+            record.n, record.m = summary["n"], summary["m"]
+            record.size, record.dynamic = summary["size"], summary["dynamic"]
+            record.batches.append((ins, dels))
+            record._result_cache = None
             if mutation_id is not None:
-                # Record the outcome *before* persisting so the snapshot
-                # that makes this version durable also makes it
-                # replayable — the two can never diverge across a crash.
                 record.applied[mutation_id] = dict(outcome)
                 while len(record.applied) > DEDUP_WINDOW:
                     record.applied.popitem(last=False)
             with self._lock:
                 self.mutations_applied += 1
-            self._persist(record)
+            if len(record.batches) >= COMPACT_EVERY:
+                try:
+                    self._compact(record, timeout_s)
+                except (ReproError, OSError):
+                    # The mutation is already durable in the log; a
+                    # failed compaction only leaves the log longer, and
+                    # the next mutation tries again.
+                    pass
             return outcome
 
     def result(self, session_id: str, *, with_version: bool = False):
         """The full result object for the committed version.
 
-        A read-only reconstruction from committed state (deterministic,
-        no worker round-trip); cached per version.  With
+        Served by the worker's warm maintainer and cached per version.
         ``with_version=True`` returns ``(result, version)`` read under
-        the record lock, so callers that echo the version alongside the
-        payload (the gateway) cannot pair a result with the version of a
-        concurrent later mutation.
+        the record lock, so the gateway cannot pair a result with the
+        version of a concurrent later mutation.
         """
-        from repro.dynamic.jobs import _maintainer_from_state
-
         record = self._record(session_id)
         with record.lock:
             cached = record._result_cache
-            if cached is not None and cached[0] == record.version:
-                result = cached[1]
-            else:
-                result = _maintainer_from_state(record.state).result()
-                record._result_cache = (record.version, result)
-            return (result, record.version) if with_version else result
+            if cached is None or cached[0] != record.version:
+                cached = (
+                    record.version,
+                    self._warm_call(record, "session_result", {}, None),
+                )
+                record._result_cache = cached
+            return (cached[1], cached[0]) if with_version else cached[1]
 
     def info(self, session_id: str) -> SessionInfo:
         return self._record(session_id).info()
 
     def snapshot(self, session_id: str) -> Dict[str, Any]:
-        """A portable snapshot of the committed version.
+        """A portable snapshot of the committed version, for :meth:`restore`.
 
-        Deep-copied, so callers can serialize or mutate it freely; feed
-        it back through :meth:`restore` (possibly on a different
-        service) to revive the session.
+        Compacts the log into a new base first; the dict returned is
+        freshly decoded, so callers may serialize or mutate it freely.
         """
         record = self._record(session_id)
         with record.lock:
-            return copy.deepcopy({
-                "session_id": record.session_id,
-                "problem": record.problem,
-                "version": record.version,
-                "guards": record.guards,
-                "state": record.state,
-                "dynamic": record.dynamic,
-                "applied": [
-                    [mid, out] for mid, out in record.applied.items()
-                ],
-            })
+            self._compact(record, None)
+            return json.loads(record.base)
 
     def restore(
         self,
@@ -499,55 +426,57 @@ class SessionManager:
     ) -> SessionInfo:
         """Revive a session from a snapshot (or the persistent store).
 
-        The snapshot is validated by rebuilding the maintainer inside a
-        worker (with the session's guard mode), so a corrupt snapshot
-        fails loudly here instead of poisoning later mutations.
-
-        Refuses to replace a *live* session (``InvalidGraphError``):
-        silently swapping the timeline under a concurrent mutation would
-        let that mutation re-persist old-timeline state over the
-        restored snapshot.  Close the session first.
+        From the store, the log records above the snapshot's version are
+        replayed on top and their mutation ids join the dedup window.
+        The session is rebuilt (and, under ``guards="full"``, verified)
+        inside a worker, so a corrupt snapshot fails loudly here, and
+        then compacted into a new base.  Refuses to replace a *live*
+        session (``InvalidGraphError``): close it first.
         """
+        from repro.dynamic.store import canonical_json
+
+        records: List[Dict[str, Any]] = []
         if snapshot is None:
             if self._store is None:
-                raise UnknownSessionError(
-                    "restore needs a snapshot (no session_dir configured)"
-                )
+                raise UnknownSessionError("restore needs a snapshot (no session_dir configured)")
             if session_id is None:
-                raise UnknownSessionError(
-                    "restore from the store needs a session_id"
-                )
+                raise UnknownSessionError("restore from the store needs a session_id")
             snapshot = self._store.load(session_id)
             if snapshot is None:
-                raise UnknownSessionError(
-                    f"no persisted snapshot for session {session_id!r}"
-                )
+                raise UnknownSessionError(f"no persisted snapshot for session {session_id!r}")
+            records = self._store.load_log(session_id, int(snapshot.get("version", 0)))
         if not isinstance(snapshot, dict) or "state" not in snapshot:
-            raise InvalidGraphError(
-                "session snapshot must be a dict holding 'state'"
-            )
+            raise InvalidGraphError("session snapshot must be a dict holding 'state'")
         sid = session_id or snapshot.get("session_id")
         if not sid:
             raise UnknownSessionError("snapshot names no session_id")
-        guards = snapshot.get("guards")
-        self._reserve(sid, verb="restore")
-        try:
-            summary = self._call(
-                "restore_session_state",
-                {"state": snapshot["state"], "guards": guards},
-                timeout_s,
-            )
-        except BaseException:
-            self._release(sid)
-            raise
-        return self._commit(
+        raw = snapshot.get("applied")
+        applied: "OrderedDict[str, Dict[str, Any]]" = OrderedDict(
+            item for item in (raw if isinstance(raw, list) else ())
+            if isinstance(item, (list, tuple)) and len(item) == 2
+            and isinstance(item[0], str) and isinstance(item[1], dict)
+        )
+        for rec in records:
+            if rec.get("mutation_id") is not None:
+                applied[rec["mutation_id"]] = rec["outcome"]
+        while len(applied) > DEDUP_WINDOW:
+            applied.popitem(last=False)
+        record = _SessionRecord(
             sid, snapshot["state"].get("problem", snapshot.get("problem")),
-            summary, int(snapshot.get("version", 0)), guards,
-            applied=self._applied_window(snapshot.get("applied")),
-        ).info()
+            int(snapshot.get("version", 0)) + len(records),
+            snapshot.get("guards"), applied=applied,
+        )
+        return self._open(
+            record, "restore_session_state",
+            {
+                "base": canonical_json(snapshot),
+                "batches": [(r["insertions"], r["deletions"]) for r in records],
+            },
+            timeout_s, verb="restore",
+        )
 
     def close(self, session_id: str, *, delete_snapshot: bool = False) -> SessionInfo:
-        """Drop a session; optionally also its persisted snapshot."""
+        """Drop a session; optionally also its persisted snapshot and log."""
         with self._lock:
             record = self._sessions.get(session_id)
             if isinstance(record, _SessionRecord):
@@ -565,12 +494,8 @@ class SessionManager:
     def list(self) -> List[SessionInfo]:
         """Infos for every live session (sorted by id)."""
         with self._lock:
-            records = sorted(
-                (r for r in self._sessions.values()
-                 if isinstance(r, _SessionRecord)),
-                key=lambda r: r.session_id,
-            )
-        return [r.info() for r in records]
+            records = [r for r in self._sessions.values() if isinstance(r, _SessionRecord)]
+        return [r.info() for r in sorted(records, key=lambda r: r.session_id)]
 
     def counters(self) -> Dict[str, int]:
         """Lifetime session counters for health() and /v1/metrics."""
@@ -584,4 +509,5 @@ class SessionManager:
                 "mutations_applied": self.mutations_applied,
                 "idempotent_replays": self.idempotent_replays,
                 "version_conflicts": self.version_conflicts,
+                "session_replays": self.session_replays,
             }

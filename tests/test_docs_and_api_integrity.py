@@ -271,6 +271,18 @@ class TestSessionApiIntegrity:
             f"{sorted(documented - fields)}"
         )
 
+    def test_every_session_counter_is_documented(self):
+        from repro.service.sessions import SessionManager
+
+        counters = set(SessionManager(service=None).counters())
+        assert counters == {
+            "live_sessions", "mutations_applied", "idempotent_replays",
+            "version_conflicts", "session_replays",
+        }
+        api_md = (SRC.parent.parent / "docs" / "api.md").read_text()
+        missing = sorted(c for c in counters if f"`{c}`" not in api_md)
+        assert not missing, f"session counters absent from docs/api.md: {missing}"
+
     def test_session_manager_is_exported_and_documented(self):
         import repro.service as service
 

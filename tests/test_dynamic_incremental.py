@@ -108,6 +108,7 @@ def test_matching_mutation_parity(seed):
         inc.apply_batch(insertions=ins, deletions=dels)
         live = _apply(live, ins, dels)
         inc.verify()
+        assert inc.num_matched == len(inc.matched_pairs())
         for method in REFERENCE_METHODS:
             ref = maximal_matching(
                 inc.edge_list(), inc.current_ranks(), method=method,
@@ -133,6 +134,8 @@ def test_state_round_trip_preserves_answer_and_counters(problem):
     clone.verify()
     assert np.array_equal(clone.result().status, inc.result().status)
     assert clone.counters.aux() == inc.counters.aux()
+    if problem == "matching":
+        assert clone.num_matched == inc.num_matched == len(inc.matched_pairs())
     # And the clone keeps evolving identically.
     ins2, dels2 = _random_batch(rng, 80, _apply(live, ins, dels), size=6)
     a = inc.apply_batch(insertions=ins2, deletions=dels2)

@@ -7,15 +7,13 @@ when the session is snapshotted and restored into a fresh service, and
 when it is driven over the HTTP front door.  This suite pins each leg.
 """
 
-import copy
-
 import numpy as np
 import pytest
 
 from repro.core.matching import maximal_matching
 from repro.core.mis import maximal_independent_set
 from repro.core.options import SolveOptions
-from repro.dynamic import IncrementalMatching, IncrementalMIS
+from repro.dynamic import IncrementalMatching
 from repro.errors import EngineError, InvalidGraphError, UnknownSessionError
 from repro.graphs.builders import from_edges
 from repro.graphs.generators import uniform_random_graph
@@ -144,31 +142,30 @@ class TestTimelineIsolation:
 
         jobs._CACHE.clear()
         pool = sorted(_live(graph))
-        base = jobs.create_session_state("mis", graph, pi)
+        base = jobs.create_session_state(
+            "mis", graph, pi, epoch="base", meta={},
+        )["snapshot"]
         # Timeline A: v0 -> v1 deleting pool[0]; leaves a warm
         # maintainer cached for version 1 of epoch "a".
-        jobs.mutate_session_state(
-            copy.deepcopy(base["state"]), deletions=[pool[0]],
-            epoch="a", version=0,
-        )
+        jobs.mutate_session_state("a", 0, deletions=[pool[0]], base=base)
         assert ("a", 1) in jobs._CACHE
         # Timeline B diverged at v1 on *another worker* (no cache write
-        # here): its committed v1 state deletes pool[1] instead.
-        b1 = jobs.mutate_session_state(
-            copy.deepcopy(base["state"]), deletions=[pool[1]], version=0,
-        )
+        # here): its committed log deletes pool[1] instead.
+        b_log = [([], [pool[1]])]
         # B's next mutation ships version 1 under its own epoch — it
-        # must rebuild from the shipped committed state, never pop
+        # must miss and replay its own base and log, never pop
         # timeline A's warm maintainer for the same version.
-        out = jobs.mutate_session_state(
-            copy.deepcopy(b1["state"]), deletions=[pool[2]],
-            epoch="b", version=1,
+        assert jobs.mutate_session_state(
+            "b", 1, deletions=[pool[2]],
+        ) == jobs.MISS
+        jobs.mutate_session_state(
+            "b", 1, deletions=[pool[2]], base=base, batches=b_log,
         )
         live = _live(graph) - {pool[1], pool[2]}
         ref = maximal_independent_set(
             _rebuild(graph.num_vertices, live), pi, method="rootset-vec",
         )
-        got = IncrementalMIS.from_state(out["state"]).result()
+        got = jobs.session_result("b", 2)
         assert np.array_equal(got.status, ref.status)
         jobs._CACHE.clear()
 
